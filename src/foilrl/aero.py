@@ -82,7 +82,6 @@ class AeroResult:
     cd: float | None
     confidence: float
     converged: bool
-    solver_calls_cost: float = 0.0
 
     @property
     def ratio(self) -> float:
@@ -121,6 +120,11 @@ def _linear_vortex_solution(xs, ys, alpha_rad):
 
     Classic linear-strength formulation: flow tangency at panel midpoints
     plus the Kutta condition tying the two trailing-edge node strengths.
+    sin and cos of theta_i - theta_j come from angle addition on per-panel
+    values, and angle addition also turns the theta_i - 2 theta_j terms
+    into p = -(a c + d e) and q = c e - a d, so log1p and arctan2 are the
+    only transcendentals evaluated per panel pair. Arrays are dropped as
+    soon as they are spent to keep the m^2 working set small.
     """
     xj, yj = xs[:-1], ys[:-1]
     dx = np.diff(xs)
@@ -130,50 +134,56 @@ def _linear_vortex_solution(xs, ys, alpha_rad):
     xm = xj + 0.5 * dx
     ym = yj + 0.5 * dy
     m = s.size
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
 
     rx = xm[:, None] - xj[None, :]
     ry = ym[:, None] - yj[None, :]
     sj = s[None, :]
-    thj = theta[None, :]
-    thi = theta[:, None]
 
-    a = -rx * np.cos(thj) - ry * np.sin(thj)
+    a = -rx * cos_t - ry * sin_t
+    e = rx * sin_t - ry * cos_t
     b = rx**2 + ry**2
-    c = np.sin(thi - thj)
-    d = np.cos(thi - thj)
-    e = rx * np.sin(thj) - ry * np.cos(thj)
+    del rx, ry
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.log1p(sj * (sj + 2.0 * a) / b)
         g = np.arctan2(e * sj, b + a * sj)
-        p = rx * np.sin(thi - 2.0 * thj) + ry * np.cos(thi - 2.0 * thj)
-        q = rx * np.cos(thi - 2.0 * thj) - ry * np.sin(thi - 2.0 * thj)
-        cn2 = d + 0.5 * q * f / sj - (a * c + d * e) * g / sj
+    del b
+    c = np.multiply.outer(sin_t, cos_t)
+    c -= np.multiply.outer(cos_t, sin_t)
+    d = np.multiply.outer(cos_t, cos_t)
+    d += np.multiply.outer(sin_t, sin_t)
+    p = -(a * c + d * e)
+    q = c * e - a * d
+    del a, e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cn2 = d + (0.5 * q * f + p * g) / sj
+        ct2 = c + (0.5 * p * f - q * g) / sj
+        del p, q
         cn1 = 0.5 * d * f + c * g - cn2
-        ct2 = c + 0.5 * p * f / sj + (a * d - c * e) * g / sj
         ct1 = 0.5 * c * f - d * g - ct2
+    del c, d, f, g
 
-    diag = np.eye(m, dtype=bool)
-    cn1[diag] = -1.0
-    cn2[diag] = 1.0
-    ct1[diag] = 0.5 * np.pi
-    ct2[diag] = 0.5 * np.pi
+    np.fill_diagonal(cn1, -1.0)
+    np.fill_diagonal(cn2, 1.0)
+    np.fill_diagonal(ct1, 0.5 * np.pi)
+    np.fill_diagonal(ct2, 0.5 * np.pi)
 
+    # Node k gets the first-node coefficient of panel k and the last-node
+    # coefficient of panel k - 1.
     an = np.zeros((m + 1, m + 1))
-    at = np.zeros((m, m + 1))
-    an[:m, 0] = cn1[:, 0]
-    an[:m, m] = cn2[:, m - 1]
-    an[:m, 1:m] = cn1[:, 1:] + cn2[:, :-1]
-    at[:, 0] = ct1[:, 0]
-    at[:, m] = ct2[:, m - 1]
-    at[:, 1:m] = ct1[:, 1:] + ct2[:, :-1]
+    an[:m, :m] = cn1
+    an[:m, 1:] += cn2
     an[m, 0] = 1.0
     an[m, m] = 1.0
+    at = np.zeros((m, m + 1))
+    at[:, :m] = ct1
+    at[:, 1:] += ct2
 
     rhs = np.zeros(m + 1)
     rhs[:m] = np.sin(theta - alpha_rad)
     gamma = np.linalg.solve(an, rhs)
     v_t = np.cos(theta - alpha_rad) + at @ gamma
-    return gamma, v_t, s, theta, xm
+    return gamma, v_t, s
 
 
 def _circulation_cl(gamma: np.ndarray, s: np.ndarray) -> float:
@@ -190,6 +200,9 @@ def _head_h1(h: np.ndarray | float):
     )
 
 
+_BL_H1_INIT = float(_head_h1(_BL_H_INIT))
+
+
 def _head_h_from_h1(h1: float) -> float:
     if h1 <= 3.32:
         return _BL_H_SEPARATION
@@ -201,6 +214,33 @@ def _head_h_from_h1(h1: float) -> float:
 
 def _cf_ludwieg_tillmann(h: float, re_theta: float) -> float:
     return 0.246 * 10.0 ** (-0.678 * h) * max(re_theta, 1.0) ** -0.268
+
+
+def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.gradient(f, x) on a 1-D non-uniform grid, without its set-up cost.
+
+    Second-order interior and first-order edges, with numpy's operations in
+    numpy's order, so the result is bit-identical. On an exactly uniform
+    grid np.gradient switches to the plain central difference; the two then
+    agree to rounding only.
+    """
+    dx = x[1:] - x[:-1]
+    dx1, dx2 = dx[:-1], dx[1:]
+    dx12 = dx1 + dx2
+    out = np.empty_like(f, dtype=float)
+    out[1:-1] = (
+        -dx2 / (dx1 * dx12) * f[:-2]
+        + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
+        + dx1 / (dx2 * dx12) * f[2:]
+    )
+    out[0] = (f[1] - f[0]) / dx[0]
+    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    return out
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """np.trapezoid(y, x) for 1-D arrays, same operations, no set-up cost."""
+    return ((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 def _march_boundary_layer(s, u_e, reynolds, max_substeps):
@@ -228,42 +268,49 @@ def _march_boundary_layer(s, u_e, reynolds, max_substeps):
     s = s[keep]
     u = u_e[keep]
     s = s - s[0] + max(s[0], 1e-4)
-    du_ds = np.clip(np.gradient(u, s), -60.0, 60.0)
+    du_ds = np.clip(_gradient(u, s), -60.0, 60.0)
+    # The march is a scalar recurrence: Python floats cost far less per
+    # operation than numpy scalars, and the arithmetic is the same.
+    s, u, du_ds = s.tolist(), u.tolist(), du_ds.tolist()
+    s_end = s[-1]
 
     def flat_plate_theta(s_loc, u_loc):
         return 0.036 * s_loc * max(u_loc * reynolds * s_loc, 10.0) ** -0.2
 
     theta = flat_plate_theta(s[0], u[0])
     h = _BL_H_INIT
-    h1 = float(_head_h1(h))
+    h1 = _BL_H1_INIT
 
     for k in range(len(s) - 1):
-        ds_full = s[k + 1] - s[k]
+        s_k, u_k, dudx_k = s[k], u[k], du_ds[k]
+        ds_full = s[k + 1] - s_k
+        du_k = u[k + 1] - u_k
+        ddudx_k = du_ds[k + 1] - dudx_k
         n_sub = min(max(1, int(ds_full / 2e-3) + 1), max_substeps)
         ds = ds_full / n_sub
         for j in range(n_sub):
             frac = (j + 0.5) / n_sub
-            u_loc = u[k] + frac * (u[k + 1] - u[k])
-            dudx = du_ds[k] + frac * (du_ds[k + 1] - du_ds[k])
+            u_loc = u_k + frac * du_k
+            dudx = dudx_k + frac * ddudx_k
             re_theta = u_loc * theta * reynolds
             cf = _cf_ludwieg_tillmann(h, re_theta)
             dtheta = 0.5 * cf - (h + 2.0) * theta / u_loc * dudx
             dth1 = 0.0306 * max(h1 - 3.0, 0.05) ** -0.6169 - (theta * h1 / u_loc) * dudx
             theta_new = theta + ds * dtheta
             th1_new = theta * h1 + ds * dth1
-            s_loc = s[k] + (j + 1) * ds
+            s_loc = s_k + (j + 1) * ds
             if theta_new <= 0.0 or th1_new <= 3.32 * theta_new:
                 # Strong acceleration collapsed the layer; restart it thin.
                 theta = flat_plate_theta(s_loc, u_loc)
                 h = _BL_H_INIT
-                h1 = float(_head_h1(h))
+                h1 = _BL_H1_INIT
                 continue
             theta = theta_new
             h1 = min(th1_new / theta, 25.0)
             h = _head_h_from_h1(h1)
             if h >= _BL_H_SEPARATION and dudx < 0.0:
-                return theta, h, u_loc, s_loc / s[-1]
-    return theta, h, float(u[-1]), 1.0
+                return theta, h, u_loc, s_loc / s_end
+    return theta, h, u[-1], 1.0
 
 
 def _squire_young(theta: float, h: float, u: float) -> float:
@@ -274,7 +321,7 @@ def _flat_plate_cf(reynolds: float) -> float:
     return 0.074 * reynolds**-0.2
 
 
-def _profile_drag(geom, v_t, s, theta_pan, reynolds, n_lower, max_substeps):
+def _profile_drag(geom, v_t, s, reynolds, n_lower, max_substeps):
     """Friction plus pressure-drag proxy; None signals a failed drag model."""
     tc = max_thickness(geom)
     cf = _flat_plate_cf(reynolds)
@@ -319,7 +366,6 @@ def solve_high_fidelity(
     flow = flow or FlowConditions()
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
-    cost = cfg.nominal_cost_ms
 
     ok, reason = is_valid(geom)
     if not ok:
@@ -329,31 +375,31 @@ def solve_high_fidelity(
     n_lower = (xs.size - 1) // 2
     alpha = np.radians(flow.angle_of_attack_deg)
     try:
-        gamma, v_t, s, theta_pan, _ = _linear_vortex_solution(xs, ys, alpha)
+        gamma, v_t, s = _linear_vortex_solution(xs, ys, alpha)
     except np.linalg.LinAlgError:
-        return AeroResult(None, None, 1.0, False, cost)
+        return AeroResult(None, None, 1.0, False)
     if not np.all(np.isfinite(gamma)):
-        return AeroResult(None, None, 1.0, False, cost)
+        return AeroResult(None, None, 1.0, False)
 
     cl = _circulation_cl(gamma, s)
     if time.monotonic() - t0 > cfg.timeout_s:
-        return AeroResult(None, None, 1.0, False, cost)
+        return AeroResult(None, None, 1.0, False)
 
-    cd = _profile_drag(geom, v_t, s, theta_pan, flow.reynolds, n_lower, cfg.max_iterations)
+    cd = _profile_drag(geom, v_t, s, flow.reynolds, n_lower, cfg.max_iterations)
     if cd is None or not np.isfinite(cd):
-        return AeroResult(None, None, 1.0, False, cost)
+        return AeroResult(None, None, 1.0, False)
     if cd <= 0.0:
-        return AeroResult(None, None, 1.0, False, cost)
+        return AeroResult(None, None, 1.0, False)
 
     cl = _prandtl_glauert(cl, flow.mach)
-    return AeroResult(float(cl), float(max(cd, CD_FLOOR)), 1.0, True, cost)
+    return AeroResult(float(cl), float(max(cd, CD_FLOOR)), 1.0, True)
 
 
 def _camber_zero_lift_angle(x: np.ndarray, camber: np.ndarray) -> float:
     """Thin-airfoil zero-lift angle from the camber-line slope."""
-    slope = np.gradient(camber, x)
-    theta = np.arccos(np.clip(1.0 - 2.0 * x, -1.0, 1.0))
-    return -np.trapezoid(slope * (np.cos(theta) - 1.0), theta) / np.pi
+    slope = _gradient(camber, x)
+    theta = np.arccos((1.0 - 2.0 * x).clip(-1.0, 1.0))
+    return -_trapezoid(slope * (np.cos(theta) - 1.0), theta) / np.pi
 
 
 def plausibility_score(geom: AirfoilGeometry) -> float:
@@ -363,20 +409,22 @@ def plausibility_score(geom: AirfoilGeometry) -> float:
     geometries outside the surrogate's trustworthy envelope.
     """
     gap = geom.y_upper - geom.y_lower
-    crossing = float(np.trapezoid(np.maximum(0.0, -gap), geom.x))
-    interior = (geom.x > 0.1) & (geom.x < 0.9)
-    if interior.sum() >= 5:
-        d1 = np.gradient(gap, geom.x)
-        d2 = np.gradient(d1, geom.x)
+    crossing = float(_trapezoid(np.maximum(0.0, -gap), geom.x))
+    past_nose = geom.x > 0.1
+    interior = past_nose & (geom.x < 0.9)
+    if np.count_nonzero(interior) >= 5:
+        d1 = _gradient(gap, geom.x)
+        d2 = _gradient(d1, geom.x)
         excess = np.maximum(0.0, np.abs(d2[interior]) - KAPPA_CURVATURE_ALLOWANCE)
-        curvature = float(excess.mean())
+        curvature = float(excess.sum() / excess.size)
     else:
         curvature = 0.0
     camber = 0.5 * np.abs(geom.y_upper + geom.y_lower)
-    camber_excess = float(np.maximum(0.0, camber - KAPPA_CAMBER_ALLOWANCE).mean())
+    over = np.maximum(0.0, camber - KAPPA_CAMBER_ALLOWANCE)
+    camber_excess = float(over.sum() / over.size)
     # Gap shrinking faster than the normal taper towards the trailing edge
     # marks a shape about to self-intersect.
-    aft = (geom.x > 0.1) & (geom.x < 0.95)
+    aft = past_nose & (geom.x < 0.95)
     if aft.any():
         pinch = float((gap[aft] / (1.0 - geom.x[aft] + 0.02)).min())
     else:
@@ -388,7 +436,7 @@ def plausibility_score(geom: AirfoilGeometry) -> float:
         - KAPPA_CAMBER_GAIN * camber_excess
         - KAPPA_PINCH_GAIN * pinch_deficit
     )
-    return float(np.clip(score, 0.0, 1.0))
+    return min(max(float(score), 0.0), 1.0)
 
 
 def solve_low_fidelity(
@@ -396,11 +444,14 @@ def solve_low_fidelity(
     flow: FlowConditions | None = None,
     cfg: SolverConfig | None = None,
 ) -> AeroResult:
-    """Camber-line surrogate: always converges, grades itself with kappa."""
+    """Camber-line surrogate: always converges, grades itself with kappa.
+
+    `cfg` is accepted for the common solver signature; the surrogate has
+    no setting to read from it.
+    """
     flow = flow or FlowConditions()
-    cfg = cfg or low_fidelity_config()
     arrays = (geom.x, geom.y_upper, geom.y_lower)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise InvalidParams("geometry must be finite")
 
     camber = 0.5 * (geom.y_upper + geom.y_lower)
@@ -414,7 +465,7 @@ def solve_low_fidelity(
     cd = max(cd, CD_FLOOR)
 
     kappa = plausibility_score(geom)
-    return AeroResult(float(cl), float(cd), kappa, True, cfg.nominal_cost_ms)
+    return AeroResult(float(cl), float(cd), kappa, True)
 
 
 def get_solver(fidelity: str):

@@ -167,18 +167,26 @@ class AirfoilEnv:
         else:
             self.pool = {}
         self.state: EnvState | None = None
+        self.failure_reason: StepReason | None = None
 
     def _solve(self, params: np.ndarray):
-        """Returns (result, mt) or None when the step must terminate."""
+        """Returns (result, mt) or None when the step must terminate.
+
+        On None, `failure_reason` says why, judged on the geometry that was
+        solved rather than on a re-sampled one.
+        """
         geom = cst_to_geometry(params, self._geometry_stations)
         ok, _ = is_valid(geom)
         if not ok:
+            self.failure_reason = StepReason.INVALID_GEOMETRY
             return None
         try:
             result = self.solver(geom)
         except GeometryRejected:
+            self.failure_reason = StepReason.INVALID_GEOMETRY
             return None
         if not result.converged:
+            self.failure_reason = StepReason.SOLVER_FAILURE
             return None
         return result, max_thickness(geom)
 
@@ -230,9 +238,9 @@ class AirfoilEnv:
             reward = -state.prev_term
             state.episode_return += reward
             state.terminated = True
-            geom_ok, _ = is_valid(cst_to_geometry(new_params, 64))
-            reason = StepReason.SOLVER_FAILURE if geom_ok else StepReason.INVALID_GEOMETRY
-            return StepOutcome(obs, reward, True, reason, {"episode_return": state.episode_return})
+            return StepOutcome(
+                obs, reward, True, self.failure_reason, {"episode_return": state.episode_return}
+            )
 
         result, mt = solved
         lam = thickness_kernel(mt, state.mt0, cfg.sigma)

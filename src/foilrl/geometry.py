@@ -57,7 +57,8 @@ class ParamBounds:
         return self.upper - self.lower
 
     def clamp(self, vec: np.ndarray) -> np.ndarray:
-        return np.clip(vec, self.lower, self.upper)
+        # Same values as np.clip, without its dispatch cost on 18 components.
+        return np.minimum(np.maximum(vec, self.lower), self.upper)
 
     def contains(self, vec: np.ndarray) -> bool:
         return bool(np.all(vec >= self.lower) and np.all(vec <= self.upper))

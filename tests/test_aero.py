@@ -14,6 +14,8 @@ from foilrl.aero import (
     solve_high_fidelity,
     solve_low_fidelity,
     _flat_plate_cf,
+    _gradient,
+    _trapezoid,
 )
 from foilrl.env import RESET_POOL_NAMES
 from foilrl.errors import ContractViolation, GeometryRejected, InvalidParams
@@ -188,3 +190,98 @@ class TestCountingSolver:
             solver(geom)
         assert solver.calls == 5
         assert solver.nominal_cost_s == pytest.approx(5 * 4.0 / 1000.0)
+
+
+class TestLeanKernels:
+    """The hand-written kernels equal the numpy calls they replace, bit for bit."""
+
+    @pytest.mark.parametrize("n", [64, 81, 128])
+    def test_gradient_on_cosine_stations(self, n):
+        x = cosine_stations(n)
+        rng = np.random.default_rng(n)
+        for f in (np.sin(3.0 * x), rng.standard_normal(n)):
+            assert _gradient(f, x).tobytes() == np.gradient(f, x).tobytes()
+
+    def test_gradient_on_random_grids(self):
+        rng = np.random.default_rng(2505)
+        for n in (3, 4, 17, 200):
+            x = np.cumsum(rng.uniform(1e-3, 1.0, n))
+            f = rng.standard_normal(n)
+            assert _gradient(f, x).tobytes() == np.gradient(f, x).tobytes()
+
+    def test_trapezoid(self):
+        rng = np.random.default_rng(7)
+        for x in (cosine_stations(81), np.cumsum(rng.uniform(1e-3, 1.0, 50))):
+            y = rng.standard_normal(x.size)
+            assert _trapezoid(y, x) == np.trapezoid(y, x)
+
+
+# Reference values captured from the solvers before the angle-addition panel
+# assembly and the float-only boundary-layer march replaced the direct
+# per-pair trigonometry and the numpy-scalar march. Design vectors are bundled
+# fits rounded to four digits. The upper-surface march separates on naca4412
+# and both surfaces separate on naca8421; naca9210 separates too close to the
+# leading edge and the drag model fails. None marks a failed solve.
+GOLDEN_VECTORS = {
+    "naca0012": [0.1771, 0.1737, 0.1467, 0.1579, 0.1382, 0.1438, 0.1378, 0.1421, -0.1771,
+                 -0.1737, -0.1467, -0.1579, -0.1382, -0.1438, -0.1378, -0.1421, 0.002515, -0.05],
+    "naca2412": [0.2057, 0.2215, 0.2038, 0.2069, 0.1958, 0.2047, 0.202, 0.2108, -0.1596,
+                 -0.1621, -0.05043, -0.1484, -0.04794, -0.1035, -0.06473, -0.0771, 0.002479, -0.05],
+    "naca4412": [0.1896, 0.2709, 0.2461, 0.1966, 0.3878, 0.04831, 0.4457, 0.107, -0.1707,
+                 -0.0877, -0.03248, -0.1366, 0.1309, -0.2589, 0.1826, -0.1901, 0.002313, -0.05],
+    "naca8421": [0.3375, 0.4402, 0.6049, -0.1339, 1.25, -0.7845, 1.25, -0.3258, -0.3057,
+                 -0.2963, 0.2837, -0.75, 1.305, -0.75, 1.238, -0.75, 0.001123, -0.05],
+    "naca9210": [0.2477, 0.5404, 0.2655, 0.1552, 0.7224, -0.1567, 0.7017, 0.05035, -0.1134,
+                 0.3923, -0.03105, -0.1562, 0.5986, -0.5057, 0.5355, -0.2303, 0.0016, 0.0776],
+    "crossing": [-0.2] * 8 + [0.2] * 8 + [0.001, 0.0],
+    "extreme-camber": [1.2] * 8 + [1.0] * 8 + [0.001, 0.0],
+}
+# (name, panel count): (cl, cd), solved on panel_count // 2 + 1 stations.
+GOLDEN_HIGH = {
+    ("naca0012", 160): (0.2792507171319292, 0.014725110717063169),
+    ("naca0012", 255): (0.27927552385237464, 0.014738898807459976),
+    ("naca2412", 160): (0.5735354272339303, 0.015310372623953131),
+    ("naca2412", 255): (0.5736559367141023, 0.015318094824503381),
+    ("naca4412", 160): (0.6445788381223942, 0.015471754511030082),
+    ("naca4412", 255): (0.644316560387541, 0.015524741590732345),
+    ("naca8421", 160): (0.6553000452020643, 0.0609122999221305),
+    ("naca8421", 255): (0.6536804932609647, 0.0615673489279277),
+    ("naca9210", 160): (None, None),
+    ("naca9210", 255): (None, None),
+}
+# (name, stations): (cl, cd, kappa) of the surrogate, which must not move at all.
+GOLDEN_LOW = {
+    ("naca0012", 81): (0.25320273972436175, 0.020443007114167765, 1.0),
+    ("naca0012", 128): (0.25320273972436175, 0.020442749810644967, 1.0),
+    ("naca2412", 81): (0.5197231986436178, 0.020684800209878704, 1.0),
+    ("naca2412", 128): (0.5197782020026814, 0.020685062887227358, 1.0),
+    ("naca4412", 81): (0.5666038007191571, 0.020500722254339222, 1.0),
+    ("naca4412", 128): (0.5671702664613496, 0.020500651296805568, 1.0),
+    ("naca8421", 81): (0.5474649931160898, 0.036451192334972356, 1.0),
+    ("naca8421", 128): (0.550179052980184, 0.036450528605566364, 1.0),
+    ("naca9210", 81): (0.9094379813283359, 0.01741187819199913, 1.0),
+    ("naca9210", 128): (0.9107085874628775, 0.01741188838069603, 1.0),
+    ("crossing", 81): (0.25320273972436175, 0.009363942043914183, 1.3716402464988207e-24),
+    ("crossing", 128): (0.25320273972436175, 0.009363942043914183, 1.3602551026331958e-24),
+    ("extreme-camber", 81): (4.862787744171485, 0.014636704868913874, 0.00017735725980517258),
+    ("extreme-camber", 128): (4.8647486543228435, 0.014636633755253774, 0.00017043157177040259),
+}
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("name,panels", sorted(GOLDEN_HIGH))
+    def test_high_fidelity(self, name, panels):
+        geom = cst_to_geometry(GOLDEN_VECTORS[name], panels // 2 + 1)
+        result = solve_high_fidelity(geom, FlowConditions(), high_fidelity_config(panel_count=panels))
+        cl, cd = GOLDEN_HIGH[name, panels]
+        if cl is None:
+            assert not result.converged
+            return
+        assert result.converged
+        assert result.cl == pytest.approx(cl, rel=1e-12, abs=0.0)
+        assert result.cd == pytest.approx(cd, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name,stations", sorted(GOLDEN_LOW))
+    def test_low_fidelity_unchanged(self, name, stations):
+        result = solve_low_fidelity(cst_to_geometry(GOLDEN_VECTORS[name], stations), FlowConditions())
+        assert (result.cl, result.cd, result.confidence) == GOLDEN_LOW[name, stations]

@@ -15,7 +15,7 @@ from foilrl.env import (
     thickness_kernel,
 )
 from foilrl.errors import ContractViolation, InvalidParams, ResetError
-from foilrl.geometry import default_bounds
+from foilrl.geometry import cst_to_geometry, default_bounds, is_valid
 
 
 def make_env(seed=0, **kw) -> AirfoilEnv:
@@ -196,6 +196,23 @@ class TestStep:
                 break
         assert outcome.reason in (StepReason.INVALID_GEOMETRY, StepReason.SOLVER_FAILURE)
         assert outcome.info["episode_return"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_invalid_geometry_judged_at_solved_station_count(self):
+        # This step lands on a shape whose surfaces cross at the env's 128
+        # stations but not at 64: the reason must come from the solved grid.
+        start = [0.4648, 0.8547, 0.7795, -0.9971, -0.967, -0.7539, 0.9734, 0.9869, -0.0998,
+                 -0.323, 0.1003, -0.6879, -0.2787, -0.75, -0.75, -0.514, 0.0005, -0.05]
+        action = np.array([0.7, 0.18, 1.0, -1.0, -1.0, -0.65, 1.0, 0.64, 0.11,
+                           -0.23, 0.24, -0.8, 0.21, -0.53, -0.71, -0.74, -0.88, -1.0])
+        env = make_env(reset_pool=())
+        env.reset(np.array(start))
+        landed = env.config.bounds.clamp(env.state.params + env.alpha * action)
+        assert env._geometry_stations == 128
+        assert is_valid(cst_to_geometry(landed, 128)) == (False, "crossing")
+        assert is_valid(cst_to_geometry(landed, 64))[0]
+        outcome = env.step(action)
+        assert outcome.terminated
+        assert outcome.reason is StepReason.INVALID_GEOMETRY
 
 
 class TestTelescoping:
