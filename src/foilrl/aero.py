@@ -62,10 +62,14 @@ class FlowConditions:
 class SolverConfig:
     panel_count: int = 255
     max_iterations: int = 200
-    tolerance: float = 1e-10
     timeout_s: float = 30.0
     fidelity: str = "high"
     nominal_cost_ms: float = 73.0
+
+    @property
+    def geometry_stations(self) -> int:
+        """Stations per surface at which a design is sampled for this solver."""
+        return max(self.panel_count // 2 + 1, 64)
 
 
 def high_fidelity_config(**overrides) -> SolverConfig:

@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bundled_airfoil_dir, __version__
 from .aero import CountingSolver, FlowConditions, SolverConfig
+from .aero import high_fidelity_config, low_fidelity_config
 from .env import AirfoilEnv, EnvConfig
-from .errors import EmptyEvalError, FoilRlError
+from .errors import EmptyEvalError, FoilRlError, ResetError, UsageError
 from .evaluate import (
+    _roll_episode,
     compare_report,
     evaluate_policy,
     load_dataset,
@@ -34,62 +38,58 @@ from .evaluate import (
     write_summary_json,
 )
 from .geometry import fit_cst, read_dat
-from .nets import AgentCheckpoint, AdamState, Mlp, Policy, load_checkpoint, save_checkpoint
+from .nets import AgentCheckpoint, AdamState, load_checkpoint, save_checkpoint
+from .nets import _agent_from_tensors, _named_tensors
 from .plotting import write_svg_lines, write_svg_scatter
 from .ppo import PRESETS, PpoConfig, preset, train
 from .pso import PsoConfig, pso_optimize_airfoil
 from .transfer import TlStrategy, finetune, time_reduction, write_ledger_json
 
+_FIDELITY_CONFIGS = {"high": high_fidelity_config, "low": low_fidelity_config}
+
+
+def _solver_section(fidelity: str) -> dict:
+    section = asdict(_FIDELITY_CONFIGS[fidelity]())
+    del section["fidelity"]  # named by the section's key
+    return section
+
+
+_ENV_DEFAULTS = {f.name: f.default for f in fields(EnvConfig)}
+
+# Every default comes from the config dataclass that consumes it.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "env": {
-        "sigma": 0.0,
-        "fidelity": "low",
-        "episode_max_length": 100,
-    },
-    "flow": {"angle_of_attack_deg": 2.0, "reynolds": 1e6, "mach": 0.5},
-    "solver": {
-        "high": {
-            "panel_count": 255,
-            "max_iterations": 200,
-            "timeout_s": 30.0,
-            "nominal_cost_ms": 73.0,
-        },
-        "low": {
-            "panel_count": 255,
-            "max_iterations": 200,
-            "timeout_s": 30.0,
-            "nominal_cost_ms": 4.0,
-        },
-    },
+    "env": {k: _ENV_DEFAULTS[k] for k in ("sigma", "fidelity", "episode_max_length")},
+    "flow": asdict(FlowConditions()),
+    "solver": {fidelity: _solver_section(fidelity) for fidelity in _FIDELITY_CONFIGS},
     "ppo": {"preset": "from-scratch", "total_timesteps": None, "n_envs": 1},
-    "pso": {
-        "swarm_size": 30,
-        "max_iterations": 700,
-        "inertia": 0.729,
-        "cognitive": 1.49,
-        "social": 1.49,
-        "velocity_clamp": 0.2,
-        "thickness_tolerance": None,
-    },
-    "eval": {"dataset": None, "deterministic": True},
+    "pso": asdict(PsoConfig()),
+    "eval": {"dataset": None},
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+    """Merge `override` into a copy of `base`; keys that `base` lacks are usage errors."""
+    if not isinstance(override, dict):
+        raise UsageError(f"config {path.rstrip('.') or 'file'} must be a JSON object")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        if key not in out:
+            raise UsageError(f"unknown config key {path}{key}")
+        if isinstance(out[key], dict):
+            out[key] = _deep_merge(out[key], value, f"{path}{key}.")
         else:
             out[key] = value
     return out
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args) -> dict:
+    """The defaults, then the --config file, then the --seed flag."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path:
-        cfg = _deep_merge(cfg, json.loads(Path(path).read_text()))
+    if args.config:
+        cfg = _deep_merge(cfg, json.loads(Path(args.config).read_text()))
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     return cfg
 
 
@@ -103,21 +103,15 @@ def _out_dir(args, command: str) -> Path:
     return out
 
 
-def _write_resolved(out: Path, cfg: dict) -> None:
-    (out / "resolved_config.json").write_text(
-        json.dumps(cfg, indent=1, sort_keys=True) + "\n"
-    )
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _solver_config(cfg: dict, fidelity: str) -> SolverConfig:
+    base = _FIDELITY_CONFIGS[fidelity]()
     section = cfg["solver"][fidelity]
-    return SolverConfig(
-        panel_count=int(section["panel_count"]),
-        max_iterations=int(section["max_iterations"]),
-        timeout_s=float(section["timeout_s"]),
-        fidelity=fidelity,
-        nominal_cost_ms=float(section["nominal_cost_ms"]),
-    )
+    # Each value takes its field's type, so a JSON 73 prices like 73.0.
+    return replace(base, **{k: type(getattr(base, k))(v) for k, v in section.items()})
 
 
 def _env_config(cfg: dict, fidelity: str | None = None, sigma: float | None = None) -> EnvConfig:
@@ -144,13 +138,11 @@ def _ppo_config(cfg: dict, preset_name: str, timesteps: int | None) -> PpoConfig
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     if args.sigma is not None:
         cfg["env"]["sigma"] = args.sigma
     if args.solver is not None:
         cfg["env"]["fidelity"] = args.solver
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.n_envs is not None:
         cfg["ppo"]["n_envs"] = args.n_envs
     cfg["ppo"]["preset"] = args.preset
@@ -159,7 +151,7 @@ def cmd_train(args) -> int:
     env_config = _env_config(cfg)
     ppo_config = _ppo_config(cfg, args.preset, args.timesteps)
     cfg["ppo"]["total_timesteps"] = ppo_config.total_timesteps
-    _write_resolved(out, cfg)
+    _write_json(out / "resolved_config.json", cfg)
 
     result = train(
         env_config,
@@ -189,20 +181,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _load_config(args)
     if args.high_cost_ms is not None:
         cfg["solver"]["high"]["nominal_cost_ms"] = args.high_cost_ms
     if args.low_cost_ms is not None:
         cfg["solver"]["low"]["nominal_cost_ms"] = args.low_cost_ms
     out = _out_dir(args, "finetune")
     source = load_checkpoint(args.source)
+    if args.low_cost_ms is not None:
+        source.meta["nominal_cost_ms_per_call"] = args.low_cost_ms
     env_config = _env_config(cfg, fidelity="high", sigma=args.sigma)
     ppo_config = _ppo_config(cfg, "finetune", args.timesteps)
     cfg["ppo"]["preset"] = "finetune"
     cfg["ppo"]["total_timesteps"] = ppo_config.total_timesteps
-    _write_resolved(out, cfg)
+    _write_json(out / "resolved_config.json", cfg)
 
     fres = finetune(
         source,
@@ -214,13 +206,6 @@ def cmd_finetune(args) -> int:
         log_path=out / "training_log.csv",
     )
     ledger = fres.ledger
-    if args.low_cost_ms is not None:
-        from .transfer import CostLedger
-
-        ledger = CostLedger(
-            ledger.pretrain_calls, args.low_cost_ms,
-            ledger.finetune_calls, ledger.finetune_cost_ms_per_call,
-        )
     tl_free_cost_s = args.tl_free_steps * env_config.solver_config.nominal_cost_ms / 1000.0
     write_ledger_json(out / "cost_ledger.json", ledger, tl_free_cost_s)
     tr = time_reduction(tl_free_cost_s, ledger.total_cost_s)
@@ -232,96 +217,62 @@ def cmd_finetune(args) -> int:
     return 0
 
 
+TRACE_COLUMNS = ["step", "cl", "cd", "ratio", "mt", "kappa", "lambda"]
+
+
 def cmd_optimize(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _load_config(args)
     out = _out_dir(args, "optimize")
     ckpt = load_checkpoint(args.checkpoint)
     _, coords = read_dat(args.airfoil)
     params, residual = fit_cst(coords)
     env_config = _env_config(cfg, fidelity="high", sigma=ckpt.sigma)
-    _write_resolved(out, cfg)
+    _write_json(out / "resolved_config.json", cfg)
 
-    env = AirfoilEnv(env_config, np.random.default_rng(int(cfg["seed"])))
-    solve_t0 = time.perf_counter()
-    obs = env.reset(params)
-    solver_s = time.perf_counter() - solve_t0
+    rows = []
 
-    rows = [{
-        "step": 0,
-        "cl": float("nan"),
-        "cd": float("nan"),
-        "ratio": env.state.prev_term,
-        "mt": env.state.mt0,
-        "kappa": 1.0,
-        "lambda": 1.0,
-        **{f"p{i}": env.state.params[i] for i in range(18)},
-    }]
-    inference_s = 0.0
-    best_ratio = env.state.prev_term
-    best_params = env.state.params.copy()
-    while True:
-        t0 = time.perf_counter()
-        action = ckpt.actor.mean(obs[None, :])[0]
-        inference_s += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        outcome = env.step(action)
-        solver_s += time.perf_counter() - t0
-        if "ratio" in outcome.info:
-            rows.append({
-                "step": len(rows),
-                "cl": outcome.info["cl"],
-                "cd": outcome.info["cd"],
-                "ratio": outcome.info["ratio"],
-                "mt": outcome.info["mt"],
-                "kappa": outcome.info["kappa"],
-                "lambda": outcome.info["lambda"],
-                **{f"p{i}": env.state.params[i] for i in range(18)},
-            })
-            if outcome.info["ratio"] > best_ratio:
-                best_ratio = outcome.info["ratio"]
-                best_params = env.state.params.copy()
-        if outcome.terminated:
-            break
-        obs = outcome.observation
+    def trace(state, info):
+        if info is None:  # the fitted airfoil, before any step
+            info = {"cl": float("nan"), "cd": float("nan"), "ratio": state.prev_term,
+                    "mt": state.mt0, "kappa": 1.0, "lambda": 1.0}
+        rows.append([len(rows)] + [info[c] for c in TRACE_COLUMNS[1:]] + state.params.tolist())
 
-    import csv as _csv
+    env = AirfoilEnv(env_config)
+    record = _roll_episode(env, ckpt, params, True, env.rng, on_step=trace)
+    if not record.converged:
+        raise ResetError("no solvable initial state found")
 
-    cols = ["step", "cl", "cd", "ratio", "mt", "kappa", "lambda"] + [f"p{i}" for i in range(18)]
     with open(out / "trace.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([row["step"]] + [f"{row[c]:.10g}" for c in cols[1:]])
-    (out / "metrics.json").write_text(json.dumps({
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS + [f"p{i}" for i in range(params.vector.size)])
+        writer.writerows([row[0]] + [f"{v:.10g}" for v in row[1:]] for row in rows)
+    best = max(rows, key=lambda row: row[3])  # by ratio; the first of equal bests wins
+    _write_json(out / "metrics.json", {
         "airfoil": Path(args.airfoil).stem,
         "fit_residual": residual,
-        "initial_ratio": rows[0]["ratio"],
-        "best_ratio": best_ratio,
-        "improvement": best_ratio - rows[0]["ratio"],
+        "initial_ratio": record.initial_ratio,
+        "best_ratio": record.best_ratio,
+        "improvement": record.improvement,
         "episode_length": len(rows) - 1,
-        "best_params": best_params.tolist(),
-    }, indent=1, sort_keys=True) + "\n")
-    (out / "timing.json").write_text(json.dumps({
-        "inference_s": inference_s,
-        "solver_metric_s": solver_s,
-    }, indent=1, sort_keys=True) + "\n")
+        "best_params": best[len(TRACE_COLUMNS):],
+    })
+    solver_s = record.wall_time_s - record.inference_s
+    _write_json(out / "timing.json", {"inference_s": record.inference_s,
+                                      "solver_metric_s": solver_s})
     print(
-        f"optimized {Path(args.airfoil).stem}: ratio {rows[0]['ratio']:.1f} -> {best_ratio:.1f} "
-        f"(inference {inference_s*1e3:.1f} ms, solver metrics {solver_s:.2f} s)"
+        f"optimized {Path(args.airfoil).stem}: "
+        f"ratio {record.initial_ratio:.1f} -> {record.best_ratio:.1f} "
+        f"(inference {record.inference_s*1e3:.1f} ms, solver metrics {solver_s:.2f} s)"
     )
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _load_config(args)
     out = _out_dir(args, "evaluate")
     ckpt = load_checkpoint(args.checkpoint)
     dataset_dir = args.dataset or cfg["eval"]["dataset"] or bundled_airfoil_dir()
-    _write_resolved(out, cfg)
+    _write_json(out / "resolved_config.json", cfg)
 
     dataset = load_dataset(dataset_dir)
     if not dataset:
@@ -336,10 +287,10 @@ def cmd_evaluate(args) -> int:
     wall = time.perf_counter() - t0
     write_records_csv(out / "records.csv", records)
     write_summary_json(out / "summary.json", summary, {"sigma": ckpt.sigma})
-    (out / "timing.json").write_text(json.dumps({
+    _write_json(out / "timing.json", {
         "wall_s_total": wall,
         "wall_s_per_airfoil": wall / max(len(records), 1),
-    }, indent=1, sort_keys=True) + "\n")
+    })
     if args.svg:
         ok = [r for r in records if r.converged]
         write_svg_scatter(
@@ -362,9 +313,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pso(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _load_config(args)
     if args.swarm is not None:
         cfg["pso"]["swarm_size"] = args.swarm
     if args.iterations is not None:
@@ -374,7 +323,7 @@ def cmd_pso(args) -> int:
     out = _out_dir(args, "pso")
     _, coords = read_dat(args.airfoil)
     params, _ = fit_cst(coords)
-    _write_resolved(out, cfg)
+    _write_json(out / "resolved_config.json", cfg)
 
     solver = CountingSolver("high", FlowConditions(**cfg["flow"]), _solver_config(cfg, "high"))
     pso_config = PsoConfig(**cfg["pso"])
@@ -384,21 +333,19 @@ def cmd_pso(args) -> int:
     )
     wall = time.perf_counter() - t0
 
-    import csv as _csv
-
     with open(out / "trace.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["iteration", "gbest_fitness"])
         for i, fit in enumerate(result.trace, start=1):
             writer.writerow([i, f"{fit:.10g}"])
-    (out / "result.json").write_text(json.dumps({
+    _write_json(out / "result.json", {
         "airfoil": Path(args.airfoil).stem,
         "best_fitness": result.best_fitness,
         "best_params": result.best_params.tolist(),
         "solver_calls": result.n_evaluations,
         "nominal_cost_s": result.n_evaluations * solver.cfg.nominal_cost_ms / 1000.0,
-    }, indent=1, sort_keys=True) + "\n")
-    (out / "timing.json").write_text(json.dumps({"wall_s": wall}, indent=1, sort_keys=True) + "\n")
+    })
+    _write_json(out / "timing.json", {"wall_s": wall})
     print(
         f"pso on {Path(args.airfoil).stem}: best cl/cd {result.best_fitness:.1f} "
         f"in {result.n_evaluations} solver calls ({wall:.1f} s)"
@@ -412,9 +359,7 @@ def cmd_compare(args) -> int:
     pso_records = read_records_csv(args.pso)
     rows, aggregate = compare_report(drl, pso_records)
     write_comparison_csv(out / "comparison.csv", rows)
-    (out / "comparison_summary.json").write_text(
-        json.dumps(aggregate, indent=1, sort_keys=True) + "\n"
-    )
+    _write_json(out / "comparison_summary.json", aggregate)
     if args.sweep:
         points = []
         for path in args.sweep:
@@ -455,14 +400,11 @@ def cmd_compare(args) -> int:
 
 def cmd_export_weights(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    arrays = {}
-    for k, (w, b) in enumerate(zip(ckpt.actor.net.weights, ckpt.actor.net.biases)):
-        arrays[f"actor_w{k}"] = w
-        arrays[f"actor_b{k}"] = b
-    arrays["actor_log_std"] = ckpt.actor.log_std
-    for k, (w, b) in enumerate(zip(ckpt.critic.weights, ckpt.critic.biases)):
-        arrays[f"critic_w{k}"] = w
-        arrays[f"critic_b{k}"] = b
+    arrays = {
+        name.replace(".", "_"): tensor
+        for name, tensor in _named_tensors(ckpt)
+        if not name.startswith("adam.")
+    }
     meta = {
         "train_steps": ckpt.train_steps,
         "env_config_hash": ckpt.env_config_hash,
@@ -477,18 +419,8 @@ def cmd_export_weights(args) -> int:
 def cmd_import_weights(args) -> int:
     data = np.load(args.weights, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
-    n_actor = sum(1 for k in data.files if k.startswith("actor_w"))
-    n_critic = sum(1 for k in data.files if k.startswith("critic_w"))
-    actor = Policy(
-        Mlp(
-            [data[f"actor_w{k}"] for k in range(n_actor)],
-            [data[f"actor_b{k}"] for k in range(n_actor)],
-        ),
-        data["actor_log_std"],
-    )
-    critic = Mlp(
-        [data[f"critic_w{k}"] for k in range(n_critic)],
-        [data[f"critic_b{k}"] for k in range(n_critic)],
+    actor, critic = _agent_from_tensors(
+        {key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}
     )
     ckpt = AgentCheckpoint(
         actor=actor,
@@ -511,6 +443,13 @@ def _nonnegative_float(value: str) -> float:
     return out
 
 
+def _positive_int(value: str) -> int:
+    out = int(value)
+    if out < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foilrl",
@@ -529,16 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="train an agent")
     p.add_argument("--solver", choices=["high", "low"])
     p.add_argument("--sigma", type=_nonnegative_float, default=None)
-    p.add_argument("--timesteps", type=int, default=None)
+    p.add_argument("--timesteps", type=_positive_int, default=None)
     p.add_argument("--preset", choices=sorted(PRESETS), default="from-scratch")
-    p.add_argument("--n-envs", type=int, default=None)
+    p.add_argument("--n-envs", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("finetune", parents=[common], help="transfer and fine-tune")
     p.add_argument("--from", dest="source", required=True, help="source checkpoint")
     p.add_argument("--strategy", type=int, choices=[1, 2, 3, 4], required=True)
     p.add_argument("--sigma", type=_nonnegative_float, default=None)
-    p.add_argument("--timesteps", type=int, default=None)
+    p.add_argument("--timesteps", type=_positive_int, default=None)
     p.add_argument("--tl-free-steps", type=int, default=81920,
                    help="baseline step count for the time-reduction report")
     p.add_argument("--high-cost-ms", type=float, default=None,
@@ -562,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--airfoil", required=True)
     p.add_argument("--keep-thickness", type=_nonnegative_float, default=None,
                    help="relative thickness tolerance (constrained mode)")
-    p.add_argument("--swarm", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--swarm", type=_positive_int, default=None)
+    p.add_argument("--iterations", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_pso)
 
     p = sub.add_parser("compare", parents=[common], help="side-by-side record comparison")
@@ -591,6 +530,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FoilRlError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -159,7 +159,7 @@ class AirfoilEnv:
         self.rng = rng if rng is not None else np.random.default_rng(config.rng_seed)
         self.alpha = alpha_vector(config)
         self.solver = CountingSolver(config.fidelity, config.flow, config.solver_config)
-        self._geometry_stations = max(self.solver.cfg.panel_count // 2 + 1, 64)
+        self._geometry_stations = self.solver.cfg.geometry_stations
         if config.reset_pool:
             self.pool = load_reset_pool(
                 config.reset_pool, config.airfoil_dir, config.fit_cache_path

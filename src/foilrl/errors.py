@@ -5,6 +5,10 @@ class FoilRlError(Exception):
     """Base class for package errors."""
 
 
+class UsageError(FoilRlError):
+    """A command asks for something invalid, e.g. an unknown config key."""
+
+
 class InvalidParams(FoilRlError):
     """Inputs are outside the domain an operation accepts."""
 

@@ -15,13 +15,14 @@ import logging
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .env import AirfoilEnv, EnvConfig, StepReason
+from .env import AirfoilEnv, EnvConfig, EnvState
 from .errors import EmptyEvalError, FitError, ResetError
 from .geometry import CstParams, fit_cst, read_dat
-from .nets import AgentCheckpoint
+from .nets import AgentCheckpoint, gaussian_sample
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +56,7 @@ class EvalRecord:
     nominal_solver_cost_s: float
     wall_time_s: float
     converged: bool
+    inference_s: float = float("nan")  # policy forward passes, part of wall_time_s
 
 
 @dataclass
@@ -92,50 +94,48 @@ def _roll_episode(
     params: CstParams,
     deterministic: bool,
     rng: np.random.Generator,
-) -> EvalRecord | None:
+    on_step: Callable[[EnvState, dict | None], None] | None = None,
+) -> EvalRecord:
+    """Roll one episode from `params`.
+
+    `on_step(state, info)` sees the state after the reset (with info None)
+    and after every solved step (with that step's info).
+    """
     start = time.perf_counter()
     calls_before = env.solver.calls
     try:
         obs = env.reset(params)
     except ResetError:
-        return EvalRecord(
-            airfoil="",
-            initial_ratio=float("nan"),
-            best_ratio=float("nan"),
-            improvement=float("nan"),
-            mt_initial=float("nan"),
-            mt_at_best=float("nan"),
-            delta_mt_percent=float("nan"),
-            episode_length=0,
-            termination_reason="initial_solve_failed",
-            nominal_solver_cost_s=(env.solver.calls - calls_before)
-            * env.solver.cfg.nominal_cost_ms / 1000.0,
-            wall_time_s=time.perf_counter() - start,
-            converged=False,
-        )
-
-    initial_ratio = env.state.prev_term  # kappa = 1 for the high-fidelity solver
-    mt_initial = env.state.mt0
-    best_ratio = initial_ratio
-    mt_at_best = mt_initial
-    reason = StepReason.RUNNING
-    length = 0
-    while True:
-        mean = checkpoint.actor.mean(obs[None, :])[0]
-        if deterministic:
-            action = mean
-        else:
-            std = np.exp(np.clip(checkpoint.actor.log_std, -5.0, 2.0))
-            action = mean + std * rng.standard_normal(mean.shape)
-        outcome = env.step(action)
-        length += 1
-        if "ratio" in outcome.info and outcome.info["ratio"] > best_ratio:
-            best_ratio = outcome.info["ratio"]
-            mt_at_best = outcome.info["mt"]
-        if outcome.terminated:
-            reason = outcome.reason
-            break
-        obs = outcome.observation
+        initial_ratio = best_ratio = mt_initial = mt_at_best = inference_s = float("nan")
+        length, reason, converged = 0, "initial_solve_failed", False
+    else:
+        initial_ratio = env.state.prev_term  # kappa = 1 for the high-fidelity solver
+        mt_initial = env.state.mt0
+        best_ratio = initial_ratio
+        mt_at_best = mt_initial
+        if on_step is not None:
+            on_step(env.state, None)
+        length, inference_s, converged = 0, 0.0, True
+        while True:
+            t0 = time.perf_counter()
+            mean = checkpoint.actor.mean(obs[None, :])[0]
+            inference_s += time.perf_counter() - t0
+            if deterministic:
+                action = mean
+            else:
+                action, _ = gaussian_sample(mean, checkpoint.actor.log_std, rng)
+            outcome = env.step(action)
+            length += 1
+            if "ratio" in outcome.info:
+                if on_step is not None:
+                    on_step(env.state, outcome.info)
+                if outcome.info["ratio"] > best_ratio:
+                    best_ratio = outcome.info["ratio"]
+                    mt_at_best = outcome.info["mt"]
+            if outcome.terminated:
+                reason = outcome.reason.value
+                break
+            obs = outcome.observation
     return EvalRecord(
         airfoil="",
         initial_ratio=float(initial_ratio),
@@ -145,11 +145,12 @@ def _roll_episode(
         mt_at_best=float(mt_at_best),
         delta_mt_percent=float(100.0 * abs(mt_at_best - mt_initial) / mt_initial),
         episode_length=length,
-        termination_reason=reason.value,
+        termination_reason=reason,
         nominal_solver_cost_s=(env.solver.calls - calls_before)
         * env.solver.cfg.nominal_cost_ms / 1000.0,
         wall_time_s=time.perf_counter() - start,
-        converged=True,
+        converged=converged,
+        inference_s=inference_s,
     )
 
 

@@ -145,10 +145,6 @@ def policy_init(sizes: list[int], rng: np.random.Generator) -> Policy:
     return Policy(mlp_init(sizes, rng, out_gain=0.01), np.zeros(sizes[-1]))
 
 
-def clamped_log_std(policy: Policy) -> np.ndarray:
-    return np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
-
-
 def gaussian_sample(
     mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
@@ -265,6 +261,19 @@ def _named_tensors(ckpt: AgentCheckpoint) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _agent_from_tensors(tensors: dict[str, np.ndarray]) -> tuple[Policy, Mlp]:
+    """Actor and critic from tensors named as by `_named_tensors`."""
+
+    def mlp(prefix: str) -> Mlp:
+        n = sum(1 for name in tensors if name.startswith(f"{prefix}.w"))
+        return Mlp(
+            [tensors[f"{prefix}.w{k}"] for k in range(n)],
+            [tensors[f"{prefix}.b{k}"] for k in range(n)],
+        )
+
+    return Policy(mlp("actor"), tensors["actor.log_std"]), mlp("critic")
+
+
 def save_checkpoint(path: str | Path, ckpt: AgentCheckpoint) -> None:
     named = _named_tensors(ckpt)
     header = {
@@ -306,22 +315,10 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         tensors[entry["name"]] = arr.astype(float)
         offset += count * 8
 
-    n_actor = len(header["actor_sizes"]) - 1
-    n_critic = len(header["critic_sizes"]) - 1
-    actor = Policy(
-        Mlp(
-            [tensors[f"actor.w{k}"] for k in range(n_actor)],
-            [tensors[f"actor.b{k}"] for k in range(n_actor)],
-        ),
-        tensors["actor.log_std"],
-    )
-    critic = Mlp(
-        [tensors[f"critic.w{k}"] for k in range(n_critic)],
-        [tensors[f"critic.b{k}"] for k in range(n_critic)],
-    )
+    actor, critic = _agent_from_tensors(tensors)
     adam = None
     if header["adam_t"] is not None:
-        n_tensors = 2 * n_actor + 1 + 2 * n_critic
+        n_tensors = len(actor.tensors()) + len(critic.tensors())
         adam = AdamState(
             m=[tensors[f"adam.m{k}"] for k in range(n_tensors)],
             v=[tensors[f"adam.v{k}"] for k in range(n_tensors)],

@@ -143,6 +143,6 @@ def pso_optimize_airfoil(
     mt0 = None
     if config.thickness_tolerance is not None:
         mt0 = max_thickness(cst_to_geometry(vec, 200))
-    stations = max(solver.cfg.panel_count // 2 + 1, 64)
+    stations = solver.cfg.geometry_stations
     fitness = make_aero_fitness(solver, mt0, config.thickness_tolerance, stations)
     return pso_maximize(fitness, bounds, vec, config, rng)

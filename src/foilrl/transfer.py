@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .aero import low_fidelity_config
 from .env import EnvConfig
 from .errors import InvalidParams, ShapeError
-from .nets import AgentCheckpoint, FreezeMask, Mlp, Policy, orthogonal
+from .nets import AgentCheckpoint, FreezeMask, Mlp, Policy, orthogonal, save_checkpoint
 from .ppo import PpoConfig, TrainResult, train
 
 
@@ -145,20 +146,16 @@ def finetune(
         initial=(actor, critic),
         freeze=mask,
     )
-    finetune_cost_ms = (
-        env_config.solver_config.nominal_cost_ms if env_config.solver_config else 73.0
-    )
+    pretrain_ms = source.meta.get("nominal_cost_ms_per_call", low_fidelity_config().nominal_cost_ms)
     ledger = CostLedger(
         pretrain_calls=int(source.meta.get("solver_calls", source.train_steps)),
-        pretrain_cost_ms_per_call=float(source.meta.get("nominal_cost_ms_per_call", 4.0)),
+        pretrain_cost_ms_per_call=float(pretrain_ms),
         finetune_calls=result.solver_calls,
-        finetune_cost_ms_per_call=finetune_cost_ms,
+        finetune_cost_ms_per_call=result.checkpoint.meta["nominal_cost_ms_per_call"],
     )
     result.checkpoint.meta["ledger"] = ledger.to_dict()
     result.checkpoint.meta["strategy"] = int(strategy)
     if checkpoint_path is not None:
-        from .nets import save_checkpoint
-
         save_checkpoint(checkpoint_path, result.checkpoint)
     return FinetuneResult(result=result, ledger=ledger, strategy=TlStrategy(strategy))
 

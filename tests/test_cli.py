@@ -1,12 +1,14 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from foilrl import naca
+from foilrl import bundled_airfoil_dir, naca
 from foilrl.cli import main
-from foilrl.nets import load_checkpoint, forward
+from foilrl.nets import AgentCheckpoint, forward, load_checkpoint, mlp_init, policy_init
+from foilrl.nets import save_checkpoint
 
 FAST = {
     "solver": {
@@ -226,3 +228,140 @@ class TestWeightsRoundTrip:
         np.testing.assert_array_equal(forward(a.critic, x), forward(b.critic, x))
         assert b.train_steps == a.train_steps
         assert b.sigma == a.sigma
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("payload, key", [
+        ({"pso": {"swarm": 3}}, "pso.swarm"),
+        ({"solver": {"high": {"tolerence": 3}}}, "solver.high.tolerence"),
+        ({"eval": {"deterministic": True}}, "eval.deterministic"),
+        ({"solver": 3}, "solver"),
+    ])
+    def test_bad_key_is_one_line_usage_error(self, payload, key, dat_file, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload))
+        rc = main(["pso", "--airfoil", dat_file, "--swarm", "2", "--iterations", "1",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+
+    def test_known_partial_section_merges(self, fast_config, dat_file, tmp_path):
+        rc = main(["pso", "--airfoil", dat_file, "--swarm", "2", "--iterations", "1",
+                   "--config", fast_config, "--out", str(tmp_path)])
+        assert rc == 0
+        resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+        assert resolved["solver"]["high"]["panel_count"] == 96
+        assert resolved["pso"]["inertia"] == 0.729
+        assert resolved["eval"] == {"dataset": None}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--n-envs", "0"],
+        ["train", "--timesteps", "-5"],
+        ["train", "--timesteps", "0"],
+        ["finetune", "--from", "x.ckpt", "--strategy", "1", "--timesteps", "-1"],
+        ["pso", "--airfoil", "x.dat", "--swarm", "0"],
+        ["pso", "--airfoil", "x.dat", "--iterations", "-3"],
+    ])
+    def test_nonpositive_counts_exit_2(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert not (tmp_path / "resolved_config.json").exists()
+
+
+class TestFinetuneLedger:
+    def test_low_cost_override_reaches_both_ledgers(self, trained, tmp_path, fast_config):
+        rc = main([
+            "finetune", "--from", str(trained / "checkpoint.ckpt"), "--strategy", "1",
+            "--timesteps", "512", "--seed", "5", "--config", fast_config,
+            "--low-cost-ms", "8", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        written = json.loads((tmp_path / "cost_ledger.json").read_text())
+        stored = load_checkpoint(tmp_path / "checkpoint.ckpt").meta["ledger"]
+        assert written["pretrain_cost_ms_per_call"] == 8.0
+        assert {k: written[k] for k in stored} == stored
+
+
+@pytest.fixture(scope="module")
+def untrained(tmp_path_factory):
+    """A fresh policy: near-zero actions, so episodes run to max_steps."""
+    rng = np.random.default_rng(0)
+    out = tmp_path_factory.mktemp("untrained")
+    save_checkpoint(out / "checkpoint.ckpt", AgentCheckpoint(
+        policy_init([18, 32, 32, 18], rng), mlp_init([18, 32, 32, 1], rng),
+        None, 0, "0" * 16, 0.0, "low",
+    ))
+    return out
+
+
+class TestOptimizeEpisode:
+    @pytest.mark.parametrize("which", ["trained", "untrained"])
+    def test_same_episode_as_evaluate(self, which, request, dat_file, tmp_path, fast_config):
+        ckpt = str(request.getfixturevalue(which) / "checkpoint.ckpt")
+        opt = tmp_path / "opt"
+        assert main(["optimize", "--checkpoint", ckpt, "--airfoil", dat_file,
+                     "--config", fast_config, "--out", str(opt)]) == 0
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "naca2412.dat").write_bytes(Path(dat_file).read_bytes())
+        ev = tmp_path / "ev"
+        assert main(["evaluate", "--checkpoint", ckpt, "--dataset", str(ds),
+                     "--config", fast_config, "--out", str(ev)]) == 0
+
+        metrics = json.loads((opt / "metrics.json").read_text())
+        (record,) = csv.DictReader((ev / "records.csv").open())
+        assert record["initial_ratio"] == f"{metrics['initial_ratio']:.10g}"
+        assert record["best_ratio"] == f"{metrics['best_ratio']:.10g}"
+        summary = json.loads((ev / "summary.json").read_text())
+        assert summary["best_median"] == metrics["best_ratio"]
+
+        trace = list(csv.DictReader((opt / "trace.csv").open()))
+        failed_last_step = record["termination_reason"] in ("solver_failure", "invalid_geometry")
+        solved_steps = int(record["episode_length"]) - failed_last_step
+        assert metrics["episode_length"] == solved_steps
+        assert [int(row["step"]) for row in trace] == list(range(solved_steps + 1))
+        best = max(trace, key=lambda row: float(row["ratio"]))
+        assert [f"{p:.10g}" for p in metrics["best_params"]] == [best[f"p{i}"] for i in range(18)]
+
+    def test_unsolvable_start_exits_1(self, trained, tmp_path, capsys):
+        # naca9210 does not solve at the default 255 panels
+        rc = main(["optimize", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                   "--airfoil", str(bundled_airfoil_dir() / "naca9210.dat"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no solvable initial state found\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+
+class TestByteIdenticalReruns:
+    def test_optimize(self, trained, dat_file, tmp_path, fast_config):
+        args = ["optimize", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                "--airfoil", dat_file, "--config", fast_config, "--seed", "4"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        for name in ("trace.csv", "metrics.json", "resolved_config.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_pso(self, dat_file, tmp_path, fast_config):
+        args = ["pso", "--airfoil", dat_file, "--swarm", "5", "--iterations", "3",
+                "--keep-thickness", "0.05", "--seed", "9", "--config", fast_config]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        for name in ("trace.csv", "result.json", "resolved_config.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestWeightsLayout:
+    def test_npz_keys_and_no_adam_moments(self, trained, tmp_path):
+        npz = tmp_path / "w.npz"
+        assert main(["export-weights", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                     "--out", str(npz)]) == 0
+        names = set(np.load(npz).files)
+        layers = [f"{net}_{kind}{k}" for net in ("actor", "critic")
+                  for k in range(3) for kind in ("w", "b")]
+        assert names == {"meta", "actor_log_std", *layers}
