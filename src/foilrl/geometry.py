@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +53,12 @@ class ParamBounds:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @property
+    @cached_property
     def span(self) -> np.ndarray:
-        return self.upper - self.lower
+        # Computed once: the policy loop and every observation read it.
+        span = self.upper - self.lower
+        span.flags.writeable = False
+        return span
 
     def clamp(self, vec: np.ndarray) -> np.ndarray:
         # Same values as np.clip, without its dispatch cost on 18 components.

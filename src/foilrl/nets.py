@@ -24,6 +24,25 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 CHECKPOINT_MAGIC = b"FOILCKP1"
 CHECKPOINT_VERSION = 1
 
+_ALIGN = 64  # bytes: one cache line, one AVX-512 load
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """`a`, or a copy of it in the same layout, starting on a cache-line boundary.
+
+    OpenBLAS's gemv reads a misaligned 256x256 matrix ~1.4x slower (batch-1
+    inference), and its results do not depend on the address. They do depend
+    on the layout, which picks the BLAS kernel, so Fortran order is kept.
+    """
+    if a.ctypes.data % _ALIGN == 0:
+        return a
+    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+    buf = np.empty(a.nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape, order=order)
+    out[...] = a
+    return out
+
 
 def orthogonal(shape: tuple[int, int], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     big, small = max(shape), min(shape)
@@ -32,7 +51,9 @@ def orthogonal(shape: tuple[int, int], rng: np.random.Generator, gain: float = 1
     q = q * np.sign(np.diag(r))
     if shape[0] < shape[1]:
         q = q.T
-    return gain * q
+    q = _aligned(q)
+    q *= gain
+    return q
 
 
 @dataclass
@@ -41,6 +62,9 @@ class Mlp:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self):
+        self.weights = [_aligned(w) for w in self.weights]
 
     @property
     def sizes(self) -> list[int]:
@@ -77,15 +101,18 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 def forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass keeping post-activation values for the backward pass."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        x = np.atleast_2d(x)
     if x.shape[1] != net.weights[0].shape[0]:
         raise ShapeError(f"input width {x.shape[1]} != {net.weights[0].shape[0]}")
     cache = [x]
     h = x
     last = net.n_layers - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        # In place on the fresh matmul output: same values, fewer allocations.
-        h = h @ w
+        # np.dot makes the same BLAS call as `@` with less dispatch; in place
+        # on its fresh output: same values, fewer allocations.
+        h = np.dot(h, w)
         h += b
         if k < last:
             np.tanh(h, out=h)

@@ -41,6 +41,13 @@ class TestBounds:
         assert BOUNDS.lower[16] == 0.0005 and BOUNDS.upper[16] == 0.01
         assert BOUNDS.lower[17] == -0.05 and BOUNDS.upper[17] == 0.775
 
+    def test_span_is_computed_once_and_read_only(self):
+        bounds = ParamBounds(BOUNDS.lower, BOUNDS.upper)
+        np.testing.assert_array_equal(bounds.span, bounds.upper - bounds.lower)
+        assert bounds.span is bounds.span
+        with pytest.raises(ValueError):
+            bounds.span[0] = 1.0
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidParams):
             ParamBounds(BOUNDS.upper, BOUNDS.lower)

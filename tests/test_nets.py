@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,46 @@ class TestForward:
         net = mlp_init([4, 8, 2], np.random.default_rng(0))
         with pytest.raises(ShapeError):
             forward(net, np.zeros(5))
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8, 64, 257])
+    def test_same_bits_as_reference_at_any_weight_address(self, batch):
+        # Policy and critic shapes. Weights are stored cache-line aligned for
+        # speed; results must not depend on that, nor on np.dot versus `@`.
+        rng = np.random.default_rng(batch)
+        for sizes in ([18, 256, 256, 18], [18, 256, 256, 1]):
+            src = mlp_init(sizes, rng)
+            for w, b in zip(src.weights, src.biases):
+                w += 0.05 * rng.standard_normal(w.shape)
+                b += 0.1 * rng.standard_normal(b.shape)
+            x = rng.uniform(-1.0, 1.0, (batch, 18))
+            for offset in (0, 8, 16, 32, 48):
+                misaligned = []
+                for w in src.weights:
+                    buf = np.empty(w.size + 16)
+                    shift = (-buf.ctypes.data % 64 + offset) // 8
+                    order = "F" if w.flags.f_contiguous and not w.flags.c_contiguous else "C"
+                    misaligned.append(buf[shift:shift + w.size].reshape(w.shape, order=order))
+                    misaligned[-1][...] = w
+                    assert misaligned[-1].ctypes.data % 64 == offset
+                # `@` on the misaligned arrays themselves, not on an Mlp's copies
+                raw = SimpleNamespace(weights=misaligned, biases=src.biases, n_layers=3)
+                np.testing.assert_array_equal(forward(src, x), reference_forward(raw, x))
+
+    def test_weights_stored_aligned_in_their_layout(self):
+        rng = np.random.default_rng(0)
+        net = mlp_init([18, 256, 256, 18], rng)
+        w = np.empty(256 * 256 + 1)[1:].reshape(256, 256)
+        w[...] = rng.standard_normal((256, 256))
+        copied = net.copy()
+        for m in (net, copied, Mlp([w], [np.zeros(256)]), Mlp([w.T], [np.zeros(256)])):
+            assert all(w.ctypes.data % 64 == 0 for w in m.weights)
+        # The layout picks the BLAS kernel, hence the rounding: an init keeps
+        # the transposed (Fortran) first layer, and a copy is C-ordered.
+        assert net.weights[0].flags.f_contiguous and not net.weights[0].flags.c_contiguous
+        assert Mlp([w.T], [np.zeros(256)]).weights[0].flags.f_contiguous
+        assert all(w.flags.c_contiguous for w in copied.weights)
+        copied.weights[0] += 1.0
+        assert not np.array_equal(copied.weights[0], net.weights[0])
 
 
 class TestBackward:
