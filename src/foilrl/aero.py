@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, GeometryRejected, InvalidParams
+from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
 from .geometry import AirfoilGeometry, cosine_stations, is_valid, max_thickness
 
 CD_FLOOR = 1e-4
@@ -53,9 +53,9 @@ class FlowConditions:
 
     def __post_init__(self):
         if not (0.0 <= self.mach < 0.7):
-            raise InvalidParams("mach must be in [0, 0.7) for the compressibility correction")
+            raise ConfigValueError("mach", "must be in [0, 0.7) for the compressibility correction")
         if self.reynolds <= 0.0:
-            raise InvalidParams("reynolds must be positive")
+            raise ConfigValueError("reynolds", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,15 @@ class SolverConfig:
     timeout_s: float = 30.0
     fidelity: str = "high"
     nominal_cost_ms: float = 73.0
+
+    def __post_init__(self):
+        for name in ("panel_count", "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigValueError(name, "must be at least 1")
+        if self.timeout_s <= 0:
+            raise ConfigValueError("timeout_s", "must be positive")
+        if self.nominal_cost_ms < 0:
+            raise ConfigValueError("nominal_cost_ms", "must be non-negative")
 
     @property
     def geometry_stations(self) -> int:

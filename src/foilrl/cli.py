@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import ctypes
 import json
 import os
+import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from . import bundled_airfoil_dir, __version__
 from .aero import CountingSolver, FlowConditions, SolverConfig
 from .aero import high_fidelity_config, low_fidelity_config
 from .env import AirfoilEnv, EnvConfig
-from .errors import EmptyEvalError, FoilRlError, ResetError, UsageError
+from .errors import ConfigValueError, EmptyEvalError, FoilRlError, ResetError, UsageError
 from .evaluate import (
     _roll_episode,
     compare_report,
@@ -90,7 +93,25 @@ def _load_config(args) -> dict:
         cfg = _deep_merge(cfg, json.loads(Path(args.config).read_text()))
     if args.seed is not None:
         cfg["seed"] = args.seed
+    with _section(""):
+        _typed("seed", int, cfg["seed"])
     return cfg
+
+
+@contextmanager
+def _section(path: str):
+    """Turn a config object's rejected field into a usage error naming its dotted key."""
+    try:
+        yield
+    except ConfigValueError as exc:
+        raise UsageError(f"config {path}{exc}") from None
+
+
+def _typed(key: str, kind: type, value):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigValueError(key, f"must be {kind.__name__}, not {value!r}") from None
 
 
 def _out_dir(args, command: str) -> Path:
@@ -111,30 +132,39 @@ def _solver_config(cfg: dict, fidelity: str) -> SolverConfig:
     base = _FIDELITY_CONFIGS[fidelity]()
     section = cfg["solver"][fidelity]
     # Each value takes its field's type, so a JSON 73 prices like 73.0.
-    return replace(base, **{k: type(getattr(base, k))(v) for k, v in section.items()})
+    with _section(f"solver.{fidelity}."):
+        return replace(base, **{k: _typed(k, type(getattr(base, k)), v)
+                                for k, v in section.items()})
+
+
+def _flow(cfg: dict) -> FlowConditions:
+    with _section("flow."):
+        return FlowConditions(**cfg["flow"])
 
 
 def _env_config(cfg: dict, fidelity: str | None = None, sigma: float | None = None) -> EnvConfig:
     env = cfg["env"]
-    fid = fidelity if fidelity is not None else env["fidelity"]
-    return EnvConfig(
-        sigma=float(sigma if sigma is not None else env["sigma"]),
-        fidelity=fid,
-        episode_max_length=int(env["episode_max_length"]),
-        flow=FlowConditions(**cfg["flow"]),
-        solver_config=_solver_config(cfg, fid),
-        rng_seed=int(cfg["seed"]),
-    )
+    with _section("env."):
+        base = EnvConfig(
+            sigma=_typed("sigma", float, sigma if sigma is not None else env["sigma"]),
+            fidelity=fidelity if fidelity is not None else env["fidelity"],
+            episode_max_length=_typed("episode_max_length", int, env["episode_max_length"]),
+            rng_seed=int(cfg["seed"]),
+        )
+    # The fidelity is checked before it picks the solver section.
+    return replace(base, flow=_flow(cfg), solver_config=_solver_config(cfg, base.fidelity))
 
 
 def _ppo_config(cfg: dict, preset_name: str, timesteps: int | None) -> PpoConfig:
     overrides = {}
-    if timesteps is not None:
-        overrides["total_timesteps"] = int(timesteps)
-    elif cfg["ppo"].get("total_timesteps"):
-        overrides["total_timesteps"] = int(cfg["ppo"]["total_timesteps"])
-    overrides["n_envs"] = int(cfg["ppo"].get("n_envs", 1))
-    return preset(preset_name, **overrides)
+    with _section("ppo."):
+        if timesteps is not None:
+            overrides["total_timesteps"] = int(timesteps)
+        elif cfg["ppo"].get("total_timesteps"):
+            overrides["total_timesteps"] = _typed("total_timesteps", int,
+                                                  cfg["ppo"]["total_timesteps"])
+        overrides["n_envs"] = _typed("n_envs", int, cfg["ppo"].get("n_envs", 1))
+        return preset(preset_name, **overrides)
 
 
 def cmd_train(args) -> int:
@@ -221,6 +251,7 @@ TRACE_COLUMNS = ["step", "cl", "cd", "ratio", "mt", "kappa", "lambda"]
 
 
 def cmd_optimize(args) -> int:
+    faults0 = _minor_faults()
     cfg = _load_config(args)
     out = _out_dir(args, "optimize")
     ckpt = load_checkpoint(args.checkpoint)
@@ -258,7 +289,8 @@ def cmd_optimize(args) -> int:
     })
     solver_s = record.wall_time_s - record.inference_s
     _write_json(out / "timing.json", {"inference_s": record.inference_s,
-                                      "solver_metric_s": solver_s})
+                                      "solver_metric_s": solver_s,
+                                      "minor_page_faults": _minor_faults() - faults0})
     print(
         f"optimized {Path(args.airfoil).stem}: "
         f"ratio {record.initial_ratio:.1f} -> {record.best_ratio:.1f} "
@@ -268,16 +300,17 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    faults0 = _minor_faults()
     cfg = _load_config(args)
     out = _out_dir(args, "evaluate")
     ckpt = load_checkpoint(args.checkpoint)
     dataset_dir = args.dataset or cfg["eval"]["dataset"] or bundled_airfoil_dir()
+    env_config = _env_config(cfg, fidelity="high", sigma=ckpt.sigma)
     _write_json(out / "resolved_config.json", cfg)
 
     dataset = load_dataset(dataset_dir)
     if not dataset:
         raise EmptyEvalError(f"no usable coordinate files in {dataset_dir}")
-    env_config = _env_config(cfg, fidelity="high", sigma=ckpt.sigma)
     t0 = time.perf_counter()
     records, summary = evaluate_policy(
         ckpt, dataset, env_config,
@@ -290,6 +323,7 @@ def cmd_evaluate(args) -> int:
     _write_json(out / "timing.json", {
         "wall_s_total": wall,
         "wall_s_per_airfoil": wall / max(len(records), 1),
+        "minor_page_faults": _minor_faults() - faults0,
     })
     if args.svg:
         ok = [r for r in records if r.converged]
@@ -313,6 +347,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pso(args) -> int:
+    faults0 = _minor_faults()
     cfg = _load_config(args)
     if args.swarm is not None:
         cfg["pso"]["swarm_size"] = args.swarm
@@ -320,13 +355,14 @@ def cmd_pso(args) -> int:
         cfg["pso"]["max_iterations"] = args.iterations
     if args.keep_thickness is not None:
         cfg["pso"]["thickness_tolerance"] = args.keep_thickness
+    solver = CountingSolver("high", _flow(cfg), _solver_config(cfg, "high"))
+    with _section("pso."):
+        pso_config = PsoConfig(**cfg["pso"])
     out = _out_dir(args, "pso")
     _, coords = read_dat(args.airfoil)
     params, _ = fit_cst(coords)
     _write_json(out / "resolved_config.json", cfg)
 
-    solver = CountingSolver("high", FlowConditions(**cfg["flow"]), _solver_config(cfg, "high"))
-    pso_config = PsoConfig(**cfg["pso"])
     t0 = time.perf_counter()
     result = pso_optimize_airfoil(
         params, solver, pso_config, np.random.default_rng(int(cfg["seed"]))
@@ -345,7 +381,8 @@ def cmd_pso(args) -> int:
         "solver_calls": result.n_evaluations,
         "nominal_cost_s": result.n_evaluations * solver.cfg.nominal_cost_ms / 1000.0,
     })
-    _write_json(out / "timing.json", {"wall_s": wall})
+    _write_json(out / "timing.json", {"wall_s": wall,
+                                      "minor_page_faults": _minor_faults() - faults0})
     print(
         f"pso on {Path(args.airfoil).stem}: best cl/cd {result.best_fitness:.1f} "
         f"in {result.n_evaluations} solver calls ({wall:.1f} s)"
@@ -525,7 +562,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Ask glibc to keep freed heap memory in the process.
+
+    By default glibc hands a freed block above its dynamic thresholds
+    (~0.5-1 MB once the solver has run) back to the kernel, so every
+    255-panel solve page-faults its m-squared arrays in again: ~1,100
+    minor faults a call. The values are the caps that glibc's own dynamic
+    rule reaches on 64-bit: blocks up to 32 MiB come from the heap, and the
+    heap top is trimmed only when more than 64 MiB of it is free. The CLI
+    owns its process, so this runs in `main` and never at import: a library
+    must not change its host's allocator. A no-op where `mallopt` is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

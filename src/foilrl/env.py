@@ -18,7 +18,8 @@ import numpy as np
 
 from . import bundled_airfoil_dir
 from .aero import CountingSolver, FlowConditions, SolverConfig
-from .errors import ContractViolation, GeometryRejected, InvalidParams, ResetError
+from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
+from .errors import ResetError
 from .geometry import (
     CstParams,
     ParamBounds,
@@ -63,9 +64,11 @@ class EnvConfig:
 
     def __post_init__(self):
         if self.episode_max_length <= 0:
-            raise InvalidParams("episode_max_length must be positive")
+            raise ConfigValueError("episode_max_length", "must be positive")
         if self.sigma < 0:
-            raise InvalidParams("sigma must be non-negative")
+            raise ConfigValueError("sigma", "must be non-negative")
+        if self.fidelity not in ("high", "low"):
+            raise ConfigValueError("fidelity", f"must be 'high' or 'low', not {self.fidelity!r}")
 
     def config_hash(self) -> str:
         payload = {

@@ -13,6 +13,13 @@ class InvalidParams(FoilRlError):
     """Inputs are outside the domain an operation accepts."""
 
 
+class ConfigValueError(InvalidParams, ValueError):
+    """A config field holds a value outside its domain; the message starts with the field."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key} {reason}")
+
+
 class ShapeError(FoilRlError):
     """Array shapes do not line up."""
 

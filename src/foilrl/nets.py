@@ -8,6 +8,7 @@ format with a JSON header and fixed little-endian float64 payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -327,19 +328,24 @@ def save_checkpoint(path: str | Path, ckpt: AgentCheckpoint) -> None:
 
 def load_checkpoint(path: str | Path) -> AgentCheckpoint:
     raw = Path(path).read_bytes()
-    if raw[:8] != CHECKPOINT_MAGIC:
+    if raw[:8] != CHECKPOINT_MAGIC or len(raw) < 12:
         raise ContractViolation(f"{path}: not a checkpoint file")
     (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen].decode())
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode())
+    except ValueError:
+        raise ContractViolation(f"{path}: checkpoint header is cut short or corrupt") from None
     if header["format_version"] != CHECKPOINT_VERSION:
         raise ContractViolation(f"unsupported checkpoint version {header['format_version']}")
+    counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
+    expected = 12 + hlen + 8 * sum(counts)
+    if len(raw) != expected:
+        raise ContractViolation(f"{path}: {len(raw)} bytes where the header implies {expected}")
     offset = 12 + hlen
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        tensors[entry["name"]] = arr.astype(float)
+    for entry, count in zip(header["tensors"], counts):
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        tensors[entry["name"]] = arr.reshape(entry["shape"]).astype(float)
         offset += count * 8
 
     actor, critic = _agent_from_tensors(tensors)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import AirfoilEnv, EnvConfig, StepReason, normalize_observation
-from .errors import TrainingDiverged
+from .errors import ConfigValueError, TrainingDiverged
 from .nets import (
     AdamState,
     AgentCheckpoint,
@@ -64,12 +64,17 @@ class PpoConfig:
     n_envs: int = 1
 
     def __post_init__(self):
+        for name in ("n_steps", "batch_size", "n_epochs", "n_envs"):
+            if getattr(self, name) < 1:
+                raise ConfigValueError(name, "must be at least 1")
+        if self.total_timesteps < 0:
+            raise ConfigValueError("total_timesteps", "must be non-negative")
         if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must be in (0, 1]")
+            raise ConfigValueError("gamma", "must be in (0, 1]")
         if self.clip_range <= 0.0:
-            raise ValueError("clip_range must be positive")
+            raise ConfigValueError("clip_range", "must be positive")
         if (self.n_steps * self.n_envs) % self.batch_size != 0:
-            raise ValueError("batch_size must divide n_steps * n_envs")
+            raise ConfigValueError("batch_size", "must divide n_steps * n_envs")
 
 
 # The three training columns: from-scratch high fidelity, low-fidelity

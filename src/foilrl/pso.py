@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .aero import CountingSolver, GeometryRejected
-from .errors import SeedError
+from .errors import ConfigValueError, SeedError
 from .geometry import CstParams, ParamBounds, cst_to_geometry, default_bounds, max_thickness
 
 INITIAL_SPREAD = 0.25  # fraction of each parameter range around the seed
@@ -30,12 +30,16 @@ class PsoConfig:
     thickness_tolerance: float | None = None  # relative |mt - mt0| / mt0 bound
 
     def __post_init__(self):
-        if min(self.swarm_size, self.max_iterations) < 1:
-            raise ValueError("swarm size and iterations must be positive")
+        for name in ("swarm_size", "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigValueError(name, "must be at least 1")
         if self.inertia <= 0:
-            raise ValueError("inertia must be positive")
-        if min(self.cognitive, self.social, self.velocity_clamp) < 0:
-            raise ValueError("coefficients must be non-negative")
+            raise ConfigValueError("inertia", "must be positive")
+        for name in ("cognitive", "social", "velocity_clamp"):
+            if getattr(self, name) < 0:
+                raise ConfigValueError(name, "must be non-negative")
+        if self.thickness_tolerance is not None and self.thickness_tolerance < 0:
+            raise ConfigValueError("thickness_tolerance", "must be non-negative")
 
 
 @dataclass

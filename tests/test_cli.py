@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from foilrl import bundled_airfoil_dir, naca
+import foilrl
+from foilrl import bundled_airfoil_dir, cli, naca
 from foilrl.cli import main
 from foilrl.nets import AgentCheckpoint, forward, load_checkpoint, mlp_init, policy_init
 from foilrl.nets import save_checkpoint
@@ -257,6 +263,40 @@ class TestConfigKeys:
         assert resolved["eval"] == {"dataset": None}
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("payload, key", [
+        ({"ppo": {"n_envs": 0}}, "ppo.n_envs"),
+        ({"ppo": {"total_timesteps": -5}}, "ppo.total_timesteps"),
+        ({"ppo": {"n_envs": "two"}}, "ppo.n_envs"),
+        ({"env": {"fidelity": "medium"}}, "env.fidelity"),
+        ({"env": {"episode_max_length": 0}}, "env.episode_max_length"),
+        ({"seed": "x"}, "seed"),
+    ])
+    def test_train_rejects_out_of_range_value(self, payload, key, tmp_path, capsys):
+        self._assert_usage_error(["train"], payload, key, tmp_path, capsys)
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"pso": {"swarm_size": 0}}, "pso.swarm_size"),
+        ({"pso": {"inertia": 0.0}}, "pso.inertia"),
+        ({"solver": {"high": {"panel_count": "abc"}}}, "solver.high.panel_count"),
+        ({"solver": {"high": {"panel_count": 0}}}, "solver.high.panel_count"),
+        ({"solver": {"high": {"timeout_s": -1}}}, "solver.high.timeout_s"),
+        ({"flow": {"mach": 0.9}}, "flow.mach"),
+    ])
+    def test_pso_rejects_out_of_range_value(self, payload, key, dat_file, tmp_path, capsys):
+        self._assert_usage_error(["pso", "--airfoil", dat_file], payload, key, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_usage_error(argv, payload, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload))
+        rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key} ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["train", "--n-envs", "0"],
@@ -365,3 +405,95 @@ class TestWeightsLayout:
         layers = [f"{net}_{kind}{k}" for net in ("actor", "critic")
                   for k in range(3) for kind in ("w", "b")]
         assert names == {"meta", "actor_log_std", *layers}
+
+
+class TestCheckpointBytes:
+    @pytest.mark.parametrize("mangle", [lambda b: b[:-100], lambda b: b + b"\0"])
+    def test_damaged_checkpoint_is_one_line_runtime_error(self, mangle, trained, dat_file,
+                                                          tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(mangle((trained / "checkpoint.ckpt").read_bytes()))
+        rc = main(["optimize", "--checkpoint", str(bad), "--airfoil", dat_file,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+class TestTimingJson:
+    def test_commands_report_minor_page_faults(self, trained, dat_file, tmp_path, fast_config):
+        ckpt = str(trained / "checkpoint.ckpt")
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        naca.write_dat(ds / "naca0012.dat", "0012", naca.coordinates("0012", 81))
+        runs = {
+            "evaluate": ["evaluate", "--checkpoint", ckpt, "--dataset", str(ds)],
+            "optimize": ["optimize", "--checkpoint", ckpt, "--airfoil", dat_file],
+            "pso": ["pso", "--airfoil", dat_file, "--swarm", "2", "--iterations", "1"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main(argv + ["--config", fast_config, "--out", str(out)]) == 0
+            faults = json.loads((out / "timing.json").read_text())["minor_page_faults"]
+            assert isinstance(faults, int) and faults >= 0
+
+
+# Minor page faults of 20 repeated 255-panel solves in a fresh interpreter,
+# after `cli.main` ran ("main") or after a bare `import foilrl.cli` ("import").
+FAULT_PROBE = """
+import resource, sys
+import foilrl.cli as cli
+from foilrl import aero, geometry, naca
+if sys.argv[1] == "main":
+    try:
+        cli.main(["--version"])
+    except SystemExit:
+        pass
+params, _ = geometry.fit_cst(naca.coordinates("2412", 131), geometry.default_bounds())
+geom = geometry.cst_to_geometry(params, 128)
+cfg = aero.high_fidelity_config(panel_count=255)
+for _ in range(3):
+    aero.solve_high_fidelity(geom, None, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    aero.solve_high_fidelity(geom, None, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _probe_faults(setup: str) -> int:
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(foilrl.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, setup], env=env,
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout.split()[-1])
+
+
+class TestFreedMemoryKept:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_main_keeps_solver_arrays_resident(self):
+        assert _probe_faults("main") < 100
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_import_leaves_allocator_alone(self):
+        # glibc's default trims the heap after every solve: ~1,100 faults a call
+        assert _probe_faults("import") > 20 * 100
+
+    def test_sets_both_thresholds_on_every_call(self, monkeypatch):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_memory()
+        cli._keep_freed_memory()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)] * 2
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+        cli._keep_freed_memory()
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        cli._keep_freed_memory()

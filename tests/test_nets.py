@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foilrl.errors import ContractViolation, ShapeError
 from foilrl.nets import (
@@ -274,6 +276,43 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(ContractViolation):
             load_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        rng = np.random.default_rng(3)
+        actor = policy_init([18, 8, 18], rng)
+        critic = mlp_init([18, 8, 1], rng)
+        adam = AdamState.for_tensors(actor.tensors() + critic.tensors())
+        path = tmp_path_factory.mktemp("ckpt") / "agent.ckpt"
+        save_checkpoint(path, AgentCheckpoint(actor, critic, adam, 64, "beef", 0.0, "low"))
+        return path, path.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_truncated_file_rejected(self, saved, data):
+        path, blob = saved
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        bad = path.with_name("cut.ckpt")
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(ContractViolation):
+            load_checkpoint(bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tail=st.binary(min_size=1, max_size=64))
+    def test_trailing_bytes_rejected(self, saved, tail):
+        path, blob = saved
+        bad = path.with_name("tail.ckpt")
+        bad.write_bytes(blob + tail)
+        with pytest.raises(ContractViolation):
+            load_checkpoint(bad)
+
+    def test_cut_inside_payload_names_the_sizes(self, saved):
+        path, blob = saved
+        bad = path.with_name("short.ckpt")
+        bad.write_bytes(blob[:-8])
+        with pytest.raises(ContractViolation, match=f"{len(blob) - 8} bytes where the header "
+                           f"implies {len(blob)}"):
+            load_checkpoint(bad)
 
 
 class TestOrthogonal:
