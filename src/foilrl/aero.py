@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
-from .geometry import AirfoilGeometry, cosine_stations, is_valid, max_thickness
+from .geometry import AirfoilGeometry, cosine_stations, is_station_grid, is_valid, max_thickness
 
 CD_FLOOR = 1e-4
 
@@ -229,31 +229,50 @@ def _cf_ludwieg_tillmann(h: float, re_theta: float) -> float:
     return 0.246 * 10.0 ** (-0.678 * h) * max(re_theta, 1.0) ** -0.268
 
 
-def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.gradient(f, x) on a 1-D non-uniform grid, without its set-up cost.
+def _gradient_weights(x: np.ndarray) -> tuple:
+    """The x-only factors of np.gradient on a 1-D non-uniform grid.
 
-    Second-order interior and first-order edges, with numpy's operations in
-    numpy's order, so the result is bit-identical. On an exactly uniform
-    grid np.gradient switches to the plain central difference; the two then
-    agree to rounding only.
+    Second-order interior and first-order edges: interior weights for
+    f[:-2], f[1:-1] and f[2:], then the first and the last spacing.
     """
     dx = x[1:] - x[:-1]
     dx1, dx2 = dx[:-1], dx[1:]
     dx12 = dx1 + dx2
-    out = np.empty_like(f, dtype=float)
-    out[1:-1] = (
-        -dx2 / (dx1 * dx12) * f[:-2]
-        + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
-        + dx1 / (dx2 * dx12) * f[2:]
+    return (
+        -dx2 / (dx1 * dx12),
+        (dx2 - dx1) / (dx1 * dx2),
+        dx1 / (dx2 * dx12),
+        dx[0],
+        dx[-1],
     )
-    out[0] = (f[1] - f[0]) / dx[0]
-    out[-1] = (f[-1] - f[-2]) / dx[-1]
+
+
+def _apply_gradient(f: np.ndarray, weights: tuple) -> np.ndarray:
+    lo, mid, hi, dx_first, dx_last = weights
+    out = np.empty_like(f, dtype=float)
+    out[1:-1] = lo * f[:-2] + mid * f[1:-1] + hi * f[2:]
+    out[0] = (f[1] - f[0]) / dx_first
+    out[-1] = (f[-1] - f[-2]) / dx_last
     return out
+
+
+def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.gradient(f, x) on a 1-D non-uniform grid, without its set-up cost.
+
+    numpy's operations in numpy's order, so the result is bit-identical. On
+    an exactly uniform grid np.gradient switches to the plain central
+    difference; the two then agree to rounding only.
+    """
+    return _apply_gradient(f, _gradient_weights(x))
+
+
+def _trapezoid_widths(y: np.ndarray, widths: np.ndarray) -> float:
+    return (widths * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     """np.trapezoid(y, x) for 1-D arrays, same operations, no set-up cost."""
-    return ((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum()
+    return _trapezoid_widths(y, x[1:] - x[:-1])
 
 
 def _march_boundary_layer(s, u_e, reynolds, max_substeps):
@@ -408,11 +427,42 @@ def solve_high_fidelity(
     return AeroResult(float(cl), float(max(cd, CD_FLOOR)), 1.0, True)
 
 
-def _camber_zero_lift_angle(x: np.ndarray, camber: np.ndarray) -> float:
+class _SurrogateGrid:
+    """Every term of the surrogate that depends on the stations `x` alone."""
+
+    def __init__(self, x: np.ndarray):
+        self.gradient = _gradient_weights(x)
+        self.widths = x[1:] - x[:-1]
+        # Thin-airfoil variable: x = (1 - cos theta) / 2.
+        theta = np.arccos((1.0 - 2.0 * x).clip(-1.0, 1.0))
+        self.theta_widths = theta[1:] - theta[:-1]
+        self.cos_theta_m1 = np.cos(theta) - 1.0
+        past_nose = x > 0.1
+        interior = past_nose & (x < 0.9)
+        self.interior = interior if np.count_nonzero(interior) >= 5 else None
+        aft = past_nose & (x < 0.95)
+        self.aft = aft if aft.any() else None
+        self.aft_denom = 1.0 - x[aft] + 0.02
+
+
+# Keyed by the id of a cached station vector from `geometry.station_grid`;
+# those vectors live as long as the process, so their ids are never reused.
+_SURROGATE_GRIDS: dict[int, _SurrogateGrid] = {}
+
+
+def _surrogate_grid(x: np.ndarray) -> _SurrogateGrid:
+    grid = _SURROGATE_GRIDS.get(id(x))
+    if grid is None:
+        grid = _SurrogateGrid(x)
+        if is_station_grid(x):
+            _SURROGATE_GRIDS[id(x)] = grid
+    return grid
+
+
+def _camber_zero_lift_angle(grid: _SurrogateGrid, camber: np.ndarray) -> float:
     """Thin-airfoil zero-lift angle from the camber-line slope."""
-    slope = _gradient(camber, x)
-    theta = np.arccos((1.0 - 2.0 * x).clip(-1.0, 1.0))
-    return -_trapezoid(slope * (np.cos(theta) - 1.0), theta) / np.pi
+    slope = _apply_gradient(camber, grid.gradient)
+    return -_trapezoid_widths(slope * grid.cos_theta_m1, grid.theta_widths) / np.pi
 
 
 def plausibility_score(geom: AirfoilGeometry) -> float:
@@ -421,14 +471,13 @@ def plausibility_score(geom: AirfoilGeometry) -> float:
     Shapes resembling catalogued airfoils score 1; the score decays on
     geometries outside the surrogate's trustworthy envelope.
     """
+    grid = _surrogate_grid(geom.x)
     gap = geom.y_upper - geom.y_lower
-    crossing = float(_trapezoid(np.maximum(0.0, -gap), geom.x))
-    past_nose = geom.x > 0.1
-    interior = past_nose & (geom.x < 0.9)
-    if np.count_nonzero(interior) >= 5:
-        d1 = _gradient(gap, geom.x)
-        d2 = _gradient(d1, geom.x)
-        excess = np.maximum(0.0, np.abs(d2[interior]) - KAPPA_CURVATURE_ALLOWANCE)
+    crossing = float(_trapezoid_widths(np.maximum(0.0, -gap), grid.widths))
+    if grid.interior is not None:
+        d1 = _apply_gradient(gap, grid.gradient)
+        d2 = _apply_gradient(d1, grid.gradient)
+        excess = np.maximum(0.0, np.abs(d2[grid.interior]) - KAPPA_CURVATURE_ALLOWANCE)
         curvature = float(excess.sum() / excess.size)
     else:
         curvature = 0.0
@@ -437,9 +486,8 @@ def plausibility_score(geom: AirfoilGeometry) -> float:
     camber_excess = float(over.sum() / over.size)
     # Gap shrinking faster than the normal taper towards the trailing edge
     # marks a shape about to self-intersect.
-    aft = past_nose & (geom.x < 0.95)
-    if aft.any():
-        pinch = float((gap[aft] / (1.0 - geom.x[aft] + 0.02)).min())
+    if grid.aft is not None:
+        pinch = float((gap[grid.aft] / grid.aft_denom).min())
     else:
         pinch = KAPPA_PINCH_ALLOWANCE
     pinch_deficit = max(0.0, KAPPA_PINCH_ALLOWANCE - pinch)
@@ -469,7 +517,7 @@ def solve_low_fidelity(
 
     camber = 0.5 * (geom.y_upper + geom.y_lower)
     alpha = np.radians(flow.angle_of_attack_deg)
-    alpha_zl = _camber_zero_lift_angle(geom.x, camber)
+    alpha_zl = _camber_zero_lift_angle(_surrogate_grid(geom.x), camber)
     cl = 2.0 * np.pi * np.sin(alpha - alpha_zl)
     cl = _prandtl_glauert(cl, flow.mach)
 

@@ -114,6 +114,24 @@ def _typed(key: str, kind: type, value):
         raise ConfigValueError(key, f"must be {kind.__name__}, not {value!r}") from None
 
 
+def _numbers(section: dict, fields_of: type) -> dict:
+    """`section` as it is, once each value is a JSON number its field accepts.
+
+    Nothing is cast: the flow values feed `env_config_hash`, where JSON 2
+    and 2.0 hash differently. An int field takes ints only; a field that
+    defaults to None also takes null. JSON true/false are not numbers here,
+    though Python's bool is an int.
+    """
+    for key, value in section.items():
+        default = getattr(fields_of, key)
+        kinds = (int,) if isinstance(default, int) else (int, float)
+        number = isinstance(value, kinds) and not isinstance(value, bool)
+        if not (number or (default is None and value is None)):
+            kind = "an integer" if kinds == (int,) else "a number"
+            raise ConfigValueError(key, f"must be {kind}, not {value!r}")
+    return section
+
+
 def _out_dir(args, command: str) -> Path:
     if args.out:
         out = Path(args.out)
@@ -139,7 +157,7 @@ def _solver_config(cfg: dict, fidelity: str) -> SolverConfig:
 
 def _flow(cfg: dict) -> FlowConditions:
     with _section("flow."):
-        return FlowConditions(**cfg["flow"])
+        return FlowConditions(**_numbers(cfg["flow"], FlowConditions))
 
 
 def _env_config(cfg: dict, fidelity: str | None = None, sigma: float | None = None) -> EnvConfig:
@@ -160,9 +178,12 @@ def _ppo_config(cfg: dict, preset_name: str, timesteps: int | None) -> PpoConfig
     with _section("ppo."):
         if timesteps is not None:
             overrides["total_timesteps"] = int(timesteps)
-        elif cfg["ppo"].get("total_timesteps"):
-            overrides["total_timesteps"] = _typed("total_timesteps", int,
-                                                  cfg["ppo"]["total_timesteps"])
+        elif cfg["ppo"]["total_timesteps"] is not None:
+            # Rejected like `--timesteps 0`: a zero budget would train nothing.
+            total = _typed("total_timesteps", int, cfg["ppo"]["total_timesteps"])
+            if total < 1:
+                raise ConfigValueError("total_timesteps", "must be a positive integer")
+            overrides["total_timesteps"] = total
         overrides["n_envs"] = _typed("n_envs", int, cfg["ppo"].get("n_envs", 1))
         return preset(preset_name, **overrides)
 
@@ -357,7 +378,7 @@ def cmd_pso(args) -> int:
         cfg["pso"]["thickness_tolerance"] = args.keep_thickness
     solver = CountingSolver("high", _flow(cfg), _solver_config(cfg, "high"))
     with _section("pso."):
-        pso_config = PsoConfig(**cfg["pso"])
+        pso_config = PsoConfig(**_numbers(cfg["pso"], PsoConfig))
     out = _out_dir(args, "pso")
     _, coords = read_dat(args.airfoil)
     params, _ = fit_cst(coords)

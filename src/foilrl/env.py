@@ -229,7 +229,7 @@ class AirfoilEnv:
         state = self.state
         cfg = self.config
 
-        action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
+        action = np.asarray(action, dtype=float).clip(-1.0, 1.0)
         new_params = cfg.bounds.clamp(state.params + self.alpha * action)
         state.params = new_params
         state.step_index += 1

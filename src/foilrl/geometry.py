@@ -123,7 +123,11 @@ class CstParams:
 
 @dataclass(frozen=True)
 class AirfoilGeometry:
-    """Discrete upper/lower surfaces sampled on shared chordwise stations."""
+    """Discrete upper/lower surfaces sampled on shared chordwise stations.
+
+    The maximum thickness is computed on first use and kept, so the arrays
+    must not change afterwards; `cst_to_geometry` returns read-only ones.
+    """
 
     x: np.ndarray
     y_upper: np.ndarray
@@ -133,10 +137,45 @@ class AirfoilGeometry:
     def n_stations(self) -> int:
         return self.x.size
 
+    @cached_property
+    def max_thickness(self) -> float:
+        return _peak_thickness(self)
+
 
 def cosine_stations(n: int) -> np.ndarray:
     """Chord stations clustered at both ends; x(0)=0, x(n-1)=1."""
     return 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
+
+
+@dataclass(frozen=True)
+class StationGrid:
+    """The cosine stations of one station count and the CST terms that depend only on them."""
+
+    x: np.ndarray
+    basis: np.ndarray  # Bernstein basis, (n, N_WEIGHTS)
+    class_fn: np.ndarray
+    le_term: np.ndarray
+
+
+_STATION_GRIDS: dict[int, StationGrid] = {}
+
+
+def station_grid(n: int) -> StationGrid:
+    """The grid of `n` stations, built on first use and kept read-only."""
+    grid = _STATION_GRIDS.get(n)
+    if grid is None:
+        x = cosine_stations(n)
+        grid = StationGrid(x, _bernstein(x), _class_fn(x), _le_term(x))
+        for a in (grid.x, grid.basis, grid.class_fn, grid.le_term):
+            a.flags.writeable = False
+        _STATION_GRIDS[n] = grid
+    return grid
+
+
+def is_station_grid(x: np.ndarray) -> bool:
+    """True when `x` is the cached station vector of its size, so its id is stable."""
+    grid = _STATION_GRIDS.get(x.size)
+    return grid is not None and grid.x is x
 
 
 def _bernstein(x: np.ndarray) -> np.ndarray:
@@ -169,18 +208,26 @@ def cst_to_geometry(params: CstParams | np.ndarray, n_stations: int = 200) -> Ai
     if n_stations < 32:
         raise InvalidParams("need at least 32 stations")
 
-    x = cosine_stations(n_stations)
-    basis = _bernstein(x)
-    cls = _class_fn(x)
-    le = vec[IDX_LE] * _le_term(x)
+    grid = station_grid(n_stations)
+    x = grid.x
+    le = vec[IDX_LE] * grid.le_term
     te_half = 0.5 * vec[IDX_TE] * x
-    y_upper = cls * (basis @ vec[IDX_UPPER]) + te_half + le
-    y_lower = cls * (basis @ vec[IDX_LOWER]) - te_half - le
+    y_upper = grid.class_fn * (grid.basis @ vec[IDX_UPPER]) + te_half + le
+    y_lower = grid.class_fn * (grid.basis @ vec[IDX_LOWER]) - te_half - le
+    y_upper.flags.writeable = False
+    y_lower.flags.writeable = False
     return AirfoilGeometry(x=x, y_upper=y_upper, y_lower=y_lower)
 
 
 def max_thickness(geom: AirfoilGeometry) -> float:
-    """Peak of (y_upper - y_lower), refined by a parabola through the top three stations."""
+    """Peak of (y_upper - y_lower), refined by a parabola through the top three stations.
+
+    Computed once per geometry and kept on it.
+    """
+    return geom.max_thickness
+
+
+def _peak_thickness(geom: AirfoilGeometry) -> float:
     t = geom.y_upper - geom.y_lower
     i = int(np.argmax(t))
     if i == 0 or i == t.size - 1:

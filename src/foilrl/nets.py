@@ -102,19 +102,22 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 def forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass keeping post-activation values for the backward pass."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        x = np.atleast_2d(x)
-    if x.shape[1] != net.weights[0].shape[0]:
-        raise ShapeError(f"input width {x.shape[1]} != {net.weights[0].shape[0]}")
+    # A 2-D float64 array, what every caller passes, goes through untouched.
+    if type(x) is not np.ndarray or x.ndim != 2 or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:
+            x = np.atleast_2d(x)
+    weights, biases = net.weights, net.biases
+    if x.shape[1] != weights[0].shape[0]:
+        raise ShapeError(f"input width {x.shape[1]} != {weights[0].shape[0]}")
     cache = [x]
     h = x
-    last = net.n_layers - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+    last = len(weights) - 1
+    for k in range(last + 1):
         # np.dot makes the same BLAS call as `@` with less dispatch; in place
         # on its fresh output: same values, fewer allocations.
-        h = np.dot(h, w)
-        h += b
+        h = np.dot(h, weights[k])
+        h += biases[k]
         if k < last:
             np.tanh(h, out=h)
         cache.append(h)
@@ -177,7 +180,7 @@ def gaussian_sample(
     mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
     """Draw an action and its log density under the diagonal Gaussian."""
-    log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+    log_std = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
     std = np.exp(log_std)
     noise = rng.standard_normal(mean.shape)
     action = mean + std * noise
@@ -185,14 +188,14 @@ def gaussian_sample(
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray):
-    log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+    log_std = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
     z = (action - mean) / np.exp(log_std)
     per_dim = -0.5 * z**2 - log_std - 0.5 * _LOG_2PI
     return per_dim.sum(axis=-1)
 
 
 def gaussian_entropy(log_std: np.ndarray) -> float:
-    log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+    log_std = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
     return float(np.sum(log_std + 0.5 * (1.0 + _LOG_2PI)))
 
 

@@ -25,6 +25,7 @@ from foilrl.geometry import (
     cst_to_geometry,
     default_bounds,
     fit_cst,
+    max_thickness,
 )
 
 BOUNDS = default_bounds()
@@ -190,6 +191,61 @@ class TestCountingSolver:
             solver(geom)
         assert solver.calls == 5
         assert solver.nominal_cost_s == pytest.approx(5 * 4.0 / 1000.0)
+
+
+def _reference_low_fidelity(geom: AirfoilGeometry, flow: FlowConditions):
+    """The surrogate written with np.gradient and np.trapezoid, terms built per call."""
+    x, yu, yl = geom.x, geom.y_upper, geom.y_lower
+    slope = np.gradient(0.5 * (yu + yl), x)
+    theta = np.arccos((1.0 - 2.0 * x).clip(-1.0, 1.0))
+    alpha_zl = -np.trapezoid(slope * (np.cos(theta) - 1.0), theta) / np.pi
+    cl = 2.0 * np.pi * np.sin(np.radians(flow.angle_of_attack_deg) - alpha_zl)
+    cl = cl / np.sqrt(1.0 - flow.mach**2)
+    tc = max(max_thickness(geom), 0.0)
+    cd = max(2.0 * _flat_plate_cf(flow.reynolds) * (1.0 + 2.7 * tc + 60.0 * tc**2), 1e-4)
+
+    gap = yu - yl
+    crossing = float(np.trapezoid(np.maximum(0.0, -gap), x))
+    interior = (x > 0.1) & (x < 0.9)
+    curvature = 0.0
+    if np.count_nonzero(interior) >= 5:
+        d2 = np.gradient(np.gradient(gap, x), x)
+        excess = np.maximum(0.0, np.abs(d2[interior]) - 25.0)
+        curvature = float(excess.sum() / excess.size)
+    over = np.maximum(0.0, 0.5 * np.abs(yu + yl) - 0.105)
+    camber_excess = float(over.sum() / over.size)
+    aft = (x > 0.1) & (x < 0.95)
+    pinch = float((gap[aft] / (1.0 - x[aft] + 0.02)).min()) if aft.any() else 0.035
+    score = np.exp(-400.0 * crossing - 0.02 * curvature - 60.0 * camber_excess
+                   - 35.0 * max(0.0, 0.035 - pinch))
+    return float(cl), float(cd), min(max(float(score), 0.0), 1.0)
+
+
+class TestSurrogateGridTerms:
+    """Terms kept per cached station grid give the per-call formulas' bits."""
+
+    @pytest.mark.parametrize("n", [64, 81, 128])
+    def test_cached_grid_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        vectors = [fitted("0012").vector, fitted("4415").vector]
+        vectors += [BOUNDS.lower + rng.random(18) * BOUNDS.span for _ in range(20)]
+        for vec in vectors:
+            geom = cst_to_geometry(vec, n)
+            for flow in (FlowConditions(), INCOMPRESSIBLE):
+                result = solve_low_fidelity(geom, flow)
+                assert (result.cl, result.cd, result.confidence) == \
+                    _reference_low_fidelity(geom, flow)
+
+    def test_uncached_non_cosine_stations_match_reference(self):
+        rng = np.random.default_rng(11)
+        for n in (12, 64, 150):
+            x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+            yu = 0.1 * np.sqrt(x) * (1.0 - x) + 0.01 * rng.standard_normal(n)
+            yl = -0.05 * np.sqrt(x) * (1.0 - x) + 0.01 * rng.standard_normal(n)
+            geom = AirfoilGeometry(x, yu, yl)
+            result = solve_low_fidelity(geom, FlowConditions())
+            assert (result.cl, result.cd, result.confidence) == \
+                _reference_low_fidelity(geom, FlowConditions())
 
 
 class TestLeanKernels:

@@ -286,6 +286,32 @@ class TestConfigValues:
     def test_pso_rejects_out_of_range_value(self, payload, key, dat_file, tmp_path, capsys):
         self._assert_usage_error(["pso", "--airfoil", dat_file], payload, key, tmp_path, capsys)
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"pso": {"swarm_size": "abc"}}, "pso.swarm_size"),
+        ({"pso": {"max_iterations": 2.5}}, "pso.max_iterations"),
+        ({"pso": {"thickness_tolerance": "tight"}}, "pso.thickness_tolerance"),
+        ({"pso": {"swarm_size": True}}, "pso.swarm_size"),
+        ({"flow": {"mach": "x"}}, "flow.mach"),
+        ({"flow": {"reynolds": None}}, "flow.reynolds"),
+    ])
+    def test_pso_rejects_wrong_type(self, payload, key, dat_file, tmp_path, capsys):
+        self._assert_usage_error(["pso", "--airfoil", dat_file], payload, key, tmp_path, capsys)
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"ppo": {"total_timesteps": 0}}, "ppo.total_timesteps"),
+        ({"flow": {"angle_of_attack_deg": [2]}}, "flow.angle_of_attack_deg"),
+        ({"flow": {"mach": False}}, "flow.mach"),
+    ])
+    def test_train_rejects_zero_budget_and_wrong_type(self, payload, key, tmp_path, capsys):
+        self._assert_usage_error(["train"], payload, key, tmp_path, capsys)
+
+    def test_integer_flow_value_is_kept_as_given(self, tmp_path):
+        cfg = tmp_path / "int.json"
+        cfg.write_text(json.dumps({"flow": {"reynolds": 1000000}}))
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg)])
+        flow = cli._env_config(cli._load_config(args)).flow
+        assert type(flow.reynolds) is int and flow.reynolds == 1000000
+
     @staticmethod
     def _assert_usage_error(argv, payload, key, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foilrl import geometry
+from foilrl.aero import high_fidelity_config
 from foilrl.env import (
     AirfoilEnv,
     EnvConfig,
@@ -196,6 +198,18 @@ class TestStep:
                 break
         assert outcome.reason in (StepReason.INVALID_GEOMETRY, StepReason.SOLVER_FAILURE)
         assert outcome.info["episode_return"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("fidelity", ["low", "high"])
+    def test_step_computes_thickness_once(self, fidelity, monkeypatch):
+        solver_config = high_fidelity_config(panel_count=96) if fidelity == "high" else None
+        env = make_env(fidelity=fidelity, solver_config=solver_config)
+        env.reset()
+        calls = []
+        peak = geometry._peak_thickness
+        monkeypatch.setattr(geometry, "_peak_thickness", lambda g: calls.append(g) or peak(g))
+        outcome = env.step(np.zeros(18))
+        assert outcome.reason is StepReason.RUNNING
+        assert len(calls) == 1
 
     def test_invalid_geometry_judged_at_solved_station_count(self):
         # This step lands on a shape whose surfaces cross at the env's 128

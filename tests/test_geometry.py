@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foilrl import naca
+from foilrl import geometry, naca
 from foilrl.errors import FitError, InvalidParams
 from foilrl.geometry import (
     AirfoilGeometry,
@@ -100,6 +100,53 @@ class TestCstToGeometry:
                 np.abs(geom1.y_lower - geom0.y_lower).max(),
             )
             assert delta < 10 * eps
+
+
+def _cst_oracle(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CST evaluation as written before the station grids were cached."""
+    x = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
+    xc = x[:, None]
+    j = np.arange(8)
+    binomial = np.array([1.0, 7.0, 21.0, 35.0, 35.0, 21.0, 7.0, 1.0])
+    basis = binomial * xc**j * (1.0 - xc) ** (7 - j)
+    cls = x**0.5 * (1.0 - x) ** 1.0
+    le = vec[17] * (x * (1.0 - x) ** 8.5)
+    te_half = 0.5 * vec[16] * x
+    y_upper = cls * (basis @ vec[:8]) + te_half + le
+    y_lower = cls * (basis @ vec[8:16]) - te_half - le
+    return x, y_upper, y_lower
+
+
+class TestCachedStationGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=N_PARAMS, max_size=N_PARAMS),
+        st.integers(32, 300),
+    )
+    def test_bitwise_equal_to_uncached_formula(self, unit, n):
+        vec = BOUNDS.lower + np.array(unit) * BOUNDS.span
+        geom = cst_to_geometry(vec, n)
+        for got, want in zip((geom.x, geom.y_upper, geom.y_lower), _cst_oracle(vec, n)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_same_read_only_stations_per_count(self):
+        a = cst_to_geometry(naca_params("0012"), 97)
+        b = cst_to_geometry(naca_params("4415"), 97)
+        assert a.x is b.x
+        assert cst_to_geometry(naca_params("0012"), 98).x is not a.x
+        for arr in (a.x, a.y_upper, a.y_lower):
+            with pytest.raises(ValueError):
+                arr[1] = 0.5
+
+    def test_thickness_computed_once_per_geometry(self, monkeypatch):
+        calls = []
+        peak = geometry._peak_thickness
+        monkeypatch.setattr(geometry, "_peak_thickness", lambda g: calls.append(g) or peak(g))
+        geom = cst_to_geometry(naca_params("2412"), 128)
+        first = max_thickness(geom)
+        assert is_valid(geom) == (True, "ok")
+        assert max_thickness(geom) == first == geom.max_thickness
+        assert len(calls) == 1
 
 
 class TestMaxThickness:
