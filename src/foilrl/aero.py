@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
-from .geometry import AirfoilGeometry, cosine_stations, is_station_grid, is_valid, max_thickness
+from .geometry import AirfoilGeometry, is_station_grid, is_valid, max_thickness, station_grid
 
 CD_FLOOR = 1e-4
 
@@ -63,7 +63,6 @@ class SolverConfig:
     panel_count: int = 255
     max_iterations: int = 200
     timeout_s: float = 30.0
-    fidelity: str = "high"
     nominal_cost_ms: float = 73.0
 
     def __post_init__(self):
@@ -86,7 +85,7 @@ def high_fidelity_config(**overrides) -> SolverConfig:
 
 
 def low_fidelity_config(**overrides) -> SolverConfig:
-    return replace(SolverConfig(fidelity="low", nominal_cost_ms=4.0), **overrides)
+    return replace(SolverConfig(nominal_cost_ms=4.0), **overrides)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def _prandtl_glauert(cl: float, mach: float) -> float:
 
 
 def _resample(geom: AirfoilGeometry, n_per_side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = cosine_stations(n_per_side + 1)
+    x = station_grid(n_per_side + 1).x
     yu = np.interp(x, geom.x, geom.y_upper)
     yl = np.interp(x, geom.x, geom.y_lower)
     return x, yu, yl

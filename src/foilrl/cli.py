@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import ctypes
 import json
+import math
 import os
 import resource
 import sys
@@ -43,18 +43,13 @@ from .evaluate import (
 from .geometry import fit_cst, read_dat
 from .nets import AgentCheckpoint, AdamState, load_checkpoint, save_checkpoint
 from .nets import _agent_from_tensors, _named_tensors
+from .outputs import write_csv, write_json
 from .plotting import write_svg_lines, write_svg_scatter
 from .ppo import PRESETS, PpoConfig, preset, train
 from .pso import PsoConfig, pso_optimize_airfoil
 from .transfer import TlStrategy, finetune, time_reduction, write_ledger_json
 
 _FIDELITY_CONFIGS = {"high": high_fidelity_config, "low": low_fidelity_config}
-
-
-def _solver_section(fidelity: str) -> dict:
-    section = asdict(_FIDELITY_CONFIGS[fidelity]())
-    del section["fidelity"]  # named by the section's key
-    return section
 
 
 _ENV_DEFAULTS = {f.name: f.default for f in fields(EnvConfig)}
@@ -64,7 +59,7 @@ DEFAULT_CONFIG: dict = {
     "seed": 0,
     "env": {k: _ENV_DEFAULTS[k] for k in ("sigma", "fidelity", "episode_max_length")},
     "flow": asdict(FlowConditions()),
-    "solver": {fidelity: _solver_section(fidelity) for fidelity in _FIDELITY_CONFIGS},
+    "solver": {fidelity: asdict(config()) for fidelity, config in _FIDELITY_CONFIGS.items()},
     "ppo": {"preset": "from-scratch", "total_timesteps": None, "n_envs": 1},
     "pso": asdict(PsoConfig()),
     "eval": {"dataset": None},
@@ -94,7 +89,7 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     with _section(""):
-        _typed("seed", int, cfg["seed"])
+        _numbers({"seed": cfg["seed"]}, DEFAULT_CONFIG)
     return cfg
 
 
@@ -107,28 +102,23 @@ def _section(path: str):
         raise UsageError(f"config {path}{exc}") from None
 
 
-def _typed(key: str, kind: type, value):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigValueError(key, f"must be {kind.__name__}, not {value!r}") from None
-
-
-def _numbers(section: dict, fields_of: type) -> dict:
-    """`section` as it is, once each value is a JSON number its field accepts.
+def _numbers(section: dict, defaults: dict) -> dict:
+    """`section` as it is, once each value is a finite JSON number its default allows.
 
     Nothing is cast: the flow values feed `env_config_hash`, where JSON 2
-    and 2.0 hash differently. An int field takes ints only; a field that
-    defaults to None also takes null. JSON true/false are not numbers here,
-    though Python's bool is an int.
+    and 2.0 hash differently. A key whose default is an int takes ints
+    only; one that defaults to None also takes null. JSON true/false are
+    not numbers here, though Python's bool is an int.
     """
     for key, value in section.items():
-        default = getattr(fields_of, key)
+        default = defaults[key]
         kinds = (int,) if isinstance(default, int) else (int, float)
         number = isinstance(value, kinds) and not isinstance(value, bool)
         if not (number or (default is None and value is None)):
             kind = "an integer" if kinds == (int,) else "a number"
             raise ConfigValueError(key, f"must be {kind}, not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigValueError(key, f"must be finite, not {value!r}")
     return section
 
 
@@ -142,49 +132,51 @@ def _out_dir(args, command: str) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-
 def _solver_config(cfg: dict, fidelity: str) -> SolverConfig:
-    base = _FIDELITY_CONFIGS[fidelity]()
-    section = cfg["solver"][fidelity]
-    # Each value takes its field's type, so a JSON 73 prices like 73.0.
+    defaults = DEFAULT_CONFIG["solver"][fidelity]
     with _section(f"solver.{fidelity}."):
-        return replace(base, **{k: _typed(k, type(getattr(base, k)), v)
-                                for k, v in section.items()})
+        section = _numbers(cfg["solver"][fidelity], defaults)
+        # A float field takes a float, so a JSON 73 prices like 73.0.
+        return replace(_FIDELITY_CONFIGS[fidelity](),
+                       **{k: float(v) if isinstance(defaults[k], float) else v
+                          for k, v in section.items()})
 
 
 def _flow(cfg: dict) -> FlowConditions:
     with _section("flow."):
-        return FlowConditions(**_numbers(cfg["flow"], FlowConditions))
+        return FlowConditions(**_numbers(cfg["flow"], DEFAULT_CONFIG["flow"]))
 
 
 def _env_config(cfg: dict, fidelity: str | None = None, sigma: float | None = None) -> EnvConfig:
     env = cfg["env"]
     with _section("env."):
+        numbers = _numbers({"sigma": sigma if sigma is not None else env["sigma"],
+                            "episode_max_length": env["episode_max_length"]},
+                           DEFAULT_CONFIG["env"])
         base = EnvConfig(
-            sigma=_typed("sigma", float, sigma if sigma is not None else env["sigma"]),
+            sigma=float(numbers["sigma"]),
             fidelity=fidelity if fidelity is not None else env["fidelity"],
-            episode_max_length=_typed("episode_max_length", int, env["episode_max_length"]),
-            rng_seed=int(cfg["seed"]),
+            episode_max_length=numbers["episode_max_length"],
+            rng_seed=cfg["seed"],
         )
     # The fidelity is checked before it picks the solver section.
     return replace(base, flow=_flow(cfg), solver_config=_solver_config(cfg, base.fidelity))
 
 
 def _ppo_config(cfg: dict, preset_name: str, timesteps: int | None) -> PpoConfig:
-    overrides = {}
     with _section("ppo."):
+        if not (isinstance(preset_name, str) and preset_name in PRESETS):
+            raise ConfigValueError(
+                "preset", f"must be one of {', '.join(sorted(PRESETS))}, not {preset_name!r}")
+        overrides = {"n_envs": cfg["ppo"]["n_envs"]}
         if timesteps is not None:
-            overrides["total_timesteps"] = int(timesteps)
+            overrides["total_timesteps"] = timesteps
         elif cfg["ppo"]["total_timesteps"] is not None:
-            # Rejected like `--timesteps 0`: a zero budget would train nothing.
-            total = _typed("total_timesteps", int, cfg["ppo"]["total_timesteps"])
-            if total < 1:
-                raise ConfigValueError("total_timesteps", "must be a positive integer")
-            overrides["total_timesteps"] = total
-        overrides["n_envs"] = _typed("n_envs", int, cfg["ppo"].get("n_envs", 1))
+            overrides["total_timesteps"] = cfg["ppo"]["total_timesteps"]
+        _numbers(overrides, asdict(PRESETS[preset_name]))
+        # Rejected like `--timesteps 0`: a zero budget would train nothing.
+        if overrides.get("total_timesteps", 1) < 1:
+            raise ConfigValueError("total_timesteps", "must be a positive integer")
         return preset(preset_name, **overrides)
 
 
@@ -196,18 +188,19 @@ def cmd_train(args) -> int:
         cfg["env"]["fidelity"] = args.solver
     if args.n_envs is not None:
         cfg["ppo"]["n_envs"] = args.n_envs
-    cfg["ppo"]["preset"] = args.preset
+    if args.preset is not None:
+        cfg["ppo"]["preset"] = args.preset
 
     out = _out_dir(args, "train")
     env_config = _env_config(cfg)
-    ppo_config = _ppo_config(cfg, args.preset, args.timesteps)
+    ppo_config = _ppo_config(cfg, cfg["ppo"]["preset"], args.timesteps)
     cfg["ppo"]["total_timesteps"] = ppo_config.total_timesteps
-    _write_json(out / "resolved_config.json", cfg)
+    write_json(out / "resolved_config.json", cfg)
 
     result = train(
         env_config,
         ppo_config,
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         checkpoint_path=out / "checkpoint.ckpt",
         log_path=out / "training_log.csv",
     )
@@ -245,14 +238,14 @@ def cmd_finetune(args) -> int:
     ppo_config = _ppo_config(cfg, "finetune", args.timesteps)
     cfg["ppo"]["preset"] = "finetune"
     cfg["ppo"]["total_timesteps"] = ppo_config.total_timesteps
-    _write_json(out / "resolved_config.json", cfg)
+    write_json(out / "resolved_config.json", cfg)
 
     fres = finetune(
         source,
         TlStrategy(args.strategy),
         env_config,
         ppo_config,
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         checkpoint_path=out / "checkpoint.ckpt",
         log_path=out / "training_log.csv",
     )
@@ -279,7 +272,7 @@ def cmd_optimize(args) -> int:
     _, coords = read_dat(args.airfoil)
     params, residual = fit_cst(coords)
     env_config = _env_config(cfg, fidelity="high", sigma=ckpt.sigma)
-    _write_json(out / "resolved_config.json", cfg)
+    write_json(out / "resolved_config.json", cfg)
 
     rows = []
 
@@ -294,12 +287,10 @@ def cmd_optimize(args) -> int:
     if not record.converged:
         raise ResetError("no solvable initial state found")
 
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS + [f"p{i}" for i in range(params.vector.size)])
-        writer.writerows([row[0]] + [f"{v:.10g}" for v in row[1:]] for row in rows)
+    header = TRACE_COLUMNS + [f"p{i}" for i in range(params.vector.size)]
+    write_csv(out / "trace.csv", header, rows)
     best = max(rows, key=lambda row: row[3])  # by ratio; the first of equal bests wins
-    _write_json(out / "metrics.json", {
+    write_json(out / "metrics.json", {
         "airfoil": Path(args.airfoil).stem,
         "fit_residual": residual,
         "initial_ratio": record.initial_ratio,
@@ -309,9 +300,9 @@ def cmd_optimize(args) -> int:
         "best_params": best[len(TRACE_COLUMNS):],
     })
     solver_s = record.wall_time_s - record.inference_s
-    _write_json(out / "timing.json", {"inference_s": record.inference_s,
-                                      "solver_metric_s": solver_s,
-                                      "minor_page_faults": _minor_faults() - faults0})
+    write_json(out / "timing.json", {"inference_s": record.inference_s,
+                                     "solver_metric_s": solver_s,
+                                     "minor_page_faults": _minor_faults() - faults0})
     print(
         f"optimized {Path(args.airfoil).stem}: "
         f"ratio {record.initial_ratio:.1f} -> {record.best_ratio:.1f} "
@@ -325,9 +316,12 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, "evaluate")
     ckpt = load_checkpoint(args.checkpoint)
-    dataset_dir = args.dataset or cfg["eval"]["dataset"] or bundled_airfoil_dir()
+    dataset_dir = cfg["eval"]["dataset"]
+    if not (dataset_dir is None or isinstance(dataset_dir, str)):
+        raise UsageError(f"config eval.dataset must be a string or null, not {dataset_dir!r}")
+    dataset_dir = args.dataset or dataset_dir or bundled_airfoil_dir()
     env_config = _env_config(cfg, fidelity="high", sigma=ckpt.sigma)
-    _write_json(out / "resolved_config.json", cfg)
+    write_json(out / "resolved_config.json", cfg)
 
     dataset = load_dataset(dataset_dir)
     if not dataset:
@@ -336,12 +330,12 @@ def cmd_evaluate(args) -> int:
     records, summary = evaluate_policy(
         ckpt, dataset, env_config,
         deterministic=not args.sample,
-        rng=np.random.default_rng(int(cfg["seed"])),
+        rng=np.random.default_rng(cfg["seed"]),
     )
     wall = time.perf_counter() - t0
     write_records_csv(out / "records.csv", records)
     write_summary_json(out / "summary.json", summary, {"sigma": ckpt.sigma})
-    _write_json(out / "timing.json", {
+    write_json(out / "timing.json", {
         "wall_s_total": wall,
         "wall_s_per_airfoil": wall / max(len(records), 1),
         "minor_page_faults": _minor_faults() - faults0,
@@ -378,32 +372,28 @@ def cmd_pso(args) -> int:
         cfg["pso"]["thickness_tolerance"] = args.keep_thickness
     solver = CountingSolver("high", _flow(cfg), _solver_config(cfg, "high"))
     with _section("pso."):
-        pso_config = PsoConfig(**_numbers(cfg["pso"], PsoConfig))
+        pso_config = PsoConfig(**_numbers(cfg["pso"], DEFAULT_CONFIG["pso"]))
     out = _out_dir(args, "pso")
     _, coords = read_dat(args.airfoil)
     params, _ = fit_cst(coords)
-    _write_json(out / "resolved_config.json", cfg)
+    write_json(out / "resolved_config.json", cfg)
 
     t0 = time.perf_counter()
     result = pso_optimize_airfoil(
-        params, solver, pso_config, np.random.default_rng(int(cfg["seed"]))
+        params, solver, pso_config, np.random.default_rng(cfg["seed"])
     )
     wall = time.perf_counter() - t0
 
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "gbest_fitness"])
-        for i, fit in enumerate(result.trace, start=1):
-            writer.writerow([i, f"{fit:.10g}"])
-    _write_json(out / "result.json", {
+    write_csv(out / "trace.csv", ["iteration", "gbest_fitness"], enumerate(result.trace, start=1))
+    write_json(out / "result.json", {
         "airfoil": Path(args.airfoil).stem,
         "best_fitness": result.best_fitness,
         "best_params": result.best_params.tolist(),
         "solver_calls": result.n_evaluations,
         "nominal_cost_s": result.n_evaluations * solver.cfg.nominal_cost_ms / 1000.0,
     })
-    _write_json(out / "timing.json", {"wall_s": wall,
-                                      "minor_page_faults": _minor_faults() - faults0})
+    write_json(out / "timing.json", {"wall_s": wall,
+                                     "minor_page_faults": _minor_faults() - faults0})
     print(
         f"pso on {Path(args.airfoil).stem}: best cl/cd {result.best_fitness:.1f} "
         f"in {result.n_evaluations} solver calls ({wall:.1f} s)"
@@ -417,7 +407,7 @@ def cmd_compare(args) -> int:
     pso_records = read_records_csv(args.pso)
     rows, aggregate = compare_report(drl, pso_records)
     write_comparison_csv(out / "comparison.csv", rows)
-    _write_json(out / "comparison_summary.json", aggregate)
+    write_json(out / "comparison_summary.json", aggregate)
     if args.sweep:
         points = []
         for path in args.sweep:
@@ -496,8 +486,8 @@ def cmd_import_weights(args) -> int:
 
 def _nonnegative_float(value: str) -> float:
     out = float(value)
-    if out < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not 0.0 <= out < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and non-negative")
     return out
 
 
@@ -527,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["high", "low"])
     p.add_argument("--sigma", type=_nonnegative_float, default=None)
     p.add_argument("--timesteps", type=_positive_int, default=None)
-    p.add_argument("--preset", choices=sorted(PRESETS), default="from-scratch")
+    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--n-envs", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_train)
 

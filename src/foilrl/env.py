@@ -12,7 +12,6 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +37,7 @@ RESET_POOL_NAMES = (
     "naca7421", "naca8409", "naca8412", "naca8415", "naca9421",
 )
 
-FIT_CACHE_VERSION = 1
+RESET_MAX_RETRIES = 20  # candidates a reset draws, all up front, from its rng
 
 
 class StepReason(enum.Enum):
@@ -58,9 +57,6 @@ class EnvConfig:
     rng_seed: int = 0
     flow: FlowConditions = field(default_factory=FlowConditions)
     solver_config: SolverConfig | None = None
-    airfoil_dir: str | None = None
-    fit_cache_path: str | None = None
-    reset_max_retries: int = 20
 
     def __post_init__(self):
         if self.episode_max_length <= 0:
@@ -125,32 +121,13 @@ class StepOutcome:
     info: dict
 
 
-def load_reset_pool(
-    names: tuple[str, ...],
-    airfoil_dir: str | Path | None = None,
-    cache_path: str | Path | None = None,
-) -> dict[str, np.ndarray]:
-    """Fitted design vectors for the named airfoils, cached as a versioned table."""
-    directory = Path(airfoil_dir) if airfoil_dir else bundled_airfoil_dir()
-    if cache_path is not None:
-        cache_path = Path(cache_path)
-        if cache_path.exists():
-            table = json.loads(cache_path.read_text())
-            if table.get("version") == FIT_CACHE_VERSION and set(names) <= set(table["fits"]):
-                return {n: np.asarray(table["fits"][n], dtype=float) for n in names}
-
+def load_reset_pool(names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Fitted design vectors for the named bundled airfoils."""
     fits: dict[str, np.ndarray] = {}
     for name in names:
-        _, coords = read_dat(directory / f"{name}.dat")
+        _, coords = read_dat(bundled_airfoil_dir() / f"{name}.dat")
         params, _ = fit_cst(coords)
         fits[name] = params.vector
-    if cache_path is not None:
-        payload = {
-            "version": FIT_CACHE_VERSION,
-            "fits": {n: v.tolist() for n, v in fits.items()},
-        }
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(json.dumps(payload, sort_keys=True, indent=1))
     return fits
 
 
@@ -163,12 +140,7 @@ class AirfoilEnv:
         self.alpha = alpha_vector(config)
         self.solver = CountingSolver(config.fidelity, config.flow, config.solver_config)
         self._geometry_stations = self.solver.cfg.geometry_stations
-        if config.reset_pool:
-            self.pool = load_reset_pool(
-                config.reset_pool, config.airfoil_dir, config.fit_cache_path
-            )
-        else:
-            self.pool = {}
+        self.pool = load_reset_pool(config.reset_pool)
         self.state: EnvState | None = None
         self.failure_reason: StepReason | None = None
 
@@ -204,7 +176,7 @@ class AirfoilEnv:
             names = sorted(self.pool)
             candidates = [
                 self.pool[names[self.rng.integers(len(names))]]
-                for _ in range(self.config.reset_max_retries)
+                for _ in range(RESET_MAX_RETRIES)
             ]
         for vec in candidates:
             vec = self.config.bounds.clamp(vec)

@@ -10,7 +10,6 @@ deviation is taken at the step where `best` occurred.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from dataclasses import asdict, dataclass
@@ -23,6 +22,7 @@ from .env import AirfoilEnv, EnvConfig, EnvState
 from .errors import EmptyEvalError, FitError, ResetError
 from .geometry import CstParams, fit_cst, read_dat
 from .nets import AgentCheckpoint, gaussian_sample
+from .outputs import write_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -157,13 +157,11 @@ def _roll_episode(
 def evaluate_policy(
     checkpoint: AgentCheckpoint,
     dataset: list[tuple[str, CstParams, float]],
-    env_config: EnvConfig | None = None,
+    env_config: EnvConfig,
     deterministic: bool = True,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[EvalRecord], EvalSummary]:
     """One episode per airfoil; never raises on per-airfoil failures."""
-    if env_config is None:
-        env_config = EnvConfig(fidelity="high", sigma=checkpoint.sigma)
     if env_config.fidelity != "high":
         raise ValueError("evaluation metrics must come from the high-fidelity solver")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -200,22 +198,7 @@ def summarize(records: list[EvalRecord]) -> EvalSummary:
 
 def write_records_csv(path: str | Path, records: list[EvalRecord]) -> None:
     """Deterministic per-airfoil CSV; measured wall time stays out of it."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.airfoil,
-                _fmt(r.initial_ratio),
-                _fmt(r.best_ratio),
-                _fmt(r.improvement),
-                _fmt(r.mt_initial),
-                _fmt(r.mt_at_best),
-                _fmt(r.delta_mt_percent),
-                r.episode_length,
-                r.termination_reason,
-                _fmt(r.nominal_solver_cost_s),
-            ])
+    write_csv(path, RECORD_COLUMNS, ([getattr(r, c) for c in RECORD_COLUMNS] for r in records))
 
 
 def read_records_csv(path: str | Path) -> list[EvalRecord]:
@@ -245,7 +228,7 @@ def write_summary_json(path: str | Path, summary: EvalSummary, extra: dict | Non
     payload = {"schema_version": RECORD_SCHEMA_VERSION, **asdict(summary)}
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def compare_report(
@@ -291,11 +274,7 @@ def compare_report(
 
 def write_comparison_csv(path: str | Path, rows: list[dict]) -> None:
     cols = ["airfoil", "initial_ratio", "drl_best", "pso_best", "winner", "drl_cost_s", "pso_cost_s"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) if isinstance(row[c], float) else row[c] for c in cols])
+    write_csv(path, cols, ([row[c] for c in cols] for row in rows))
 
 
 def pareto_front(points: list[dict]) -> list[dict]:
@@ -315,12 +294,4 @@ def pareto_front(points: list[dict]) -> list[dict]:
 
 def write_pareto_csv(path: str | Path, points: list[dict]) -> None:
     cols = ["sigma", "delta_mt", "best", "on_front"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for p in sorted(points, key=lambda q: q["sigma"]):
-            writer.writerow([_fmt(p["sigma"]), _fmt(p["delta_mt"]), _fmt(p["best"]), p["on_front"]])
-
-
-def _fmt(v) -> str:
-    return f"{v:.10g}"
+    write_csv(path, cols, ([p[c] for c in cols] for p in sorted(points, key=lambda q: q["sigma"])))

@@ -249,7 +249,7 @@ def _peak_thickness(geom: AirfoilGeometry) -> float:
     return float(a * xv**2 + b * xv + c)
 
 
-def is_valid(geom: AirfoilGeometry, thickness_floor: float = THICKNESS_FLOOR) -> tuple[bool, str]:
+def is_valid(geom: AirfoilGeometry) -> tuple[bool, str]:
     """Check the surfaces describe a physically meaningful, solver-safe shape."""
     arrays = (geom.x, geom.y_upper, geom.y_lower)
     if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -257,7 +257,7 @@ def is_valid(geom: AirfoilGeometry, thickness_floor: float = THICKNESS_FLOOR) ->
     gap = geom.y_upper - geom.y_lower
     if np.any(gap[1:-1] < -CROSSING_TOL):
         return False, "crossing"
-    if max_thickness(geom) < thickness_floor:
+    if max_thickness(geom) < THICKNESS_FLOOR:
         return False, "below-thickness-floor"
     return True, "ok"
 

@@ -7,7 +7,6 @@ failures do not.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .nets import (
     policy_init,
     save_checkpoint,
 )
+from .outputs import write_csv
 
 HIDDEN_SIZES = [256, 256]
 
@@ -428,14 +428,4 @@ def _write_checkpoint(path, actor, critic, adam, steps, env_config):
 
 
 def write_training_log(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in LOG_COLUMNS})
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return v
+    write_csv(path, LOG_COLUMNS, ([row[k] for k in LOG_COLUMNS] for row in rows))

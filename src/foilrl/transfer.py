@@ -15,7 +15,6 @@ across machines.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .aero import low_fidelity_config
 from .env import EnvConfig
 from .errors import InvalidParams, ShapeError
 from .nets import AgentCheckpoint, FreezeMask, Mlp, Policy, orthogonal, save_checkpoint
+from .outputs import write_json
 from .ppo import PpoConfig, TrainResult, train
 
 
@@ -160,13 +160,9 @@ def finetune(
     return FinetuneResult(result=result, ledger=ledger, strategy=TlStrategy(strategy))
 
 
-def write_ledger_json(
-    path: str | Path,
-    ledger: CostLedger,
-    tl_free_cost_s: float | None = None,
-) -> None:
-    payload = ledger.to_dict()
-    if tl_free_cost_s is not None:
-        payload["tl_free_cost_s"] = tl_free_cost_s
-        payload["time_reduction_percent"] = time_reduction(tl_free_cost_s, ledger.total_cost_s)
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+def write_ledger_json(path: str | Path, ledger: CostLedger, tl_free_cost_s: float) -> None:
+    write_json(path, {
+        **ledger.to_dict(),
+        "tl_free_cost_s": tl_free_cost_s,
+        "time_reduction_percent": time_reduction(tl_free_cost_s, ledger.total_cost_s),
+    })

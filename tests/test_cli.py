@@ -73,6 +73,26 @@ class TestTrain:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+class TestPresetFromConfig:
+    def test_resolved_config_reproduces_the_run(self, tmp_path):
+        first = tmp_path / "first"
+        assert main(["train", "--preset", "finetune", "--timesteps", "512", "--solver", "low",
+                     "--out", str(first)]) == 0
+        second = tmp_path / "second"
+        assert main(["train", "--config", str(first / "resolved_config.json"),
+                     "--out", str(second)]) == 0
+        for name in ("checkpoint.ckpt", "training_log.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_flag_overrides_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ppo": {"preset": "bogus"}}))
+        assert main(["train", "--config", str(cfg), "--preset", "finetune", "--timesteps", "512",
+                     "--solver", "low", "--out", str(tmp_path / "out")]) == 0
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        assert resolved["ppo"]["preset"] == "finetune"
+
+
 class TestFinetune:
     def test_usage_error_on_bad_strategy(self, trained, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -271,6 +291,10 @@ class TestConfigValues:
         ({"env": {"fidelity": "medium"}}, "env.fidelity"),
         ({"env": {"episode_max_length": 0}}, "env.episode_max_length"),
         ({"seed": "x"}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"env": {"sigma": "nan"}}, "env.sigma"),
+        ({"env": {"sigma": float("nan")}}, "env.sigma"),
+        ({"ppo": {"preset": "bogus"}}, "ppo.preset"),
     ])
     def test_train_rejects_out_of_range_value(self, payload, key, tmp_path, capsys):
         self._assert_usage_error(["train"], payload, key, tmp_path, capsys)
@@ -282,6 +306,7 @@ class TestConfigValues:
         ({"solver": {"high": {"panel_count": 0}}}, "solver.high.panel_count"),
         ({"solver": {"high": {"timeout_s": -1}}}, "solver.high.timeout_s"),
         ({"flow": {"mach": 0.9}}, "flow.mach"),
+        ({"flow": {"reynolds": float("inf")}}, "flow.reynolds"),
     ])
     def test_pso_rejects_out_of_range_value(self, payload, key, dat_file, tmp_path, capsys):
         self._assert_usage_error(["pso", "--airfoil", dat_file], payload, key, tmp_path, capsys)
@@ -293,6 +318,8 @@ class TestConfigValues:
         ({"pso": {"swarm_size": True}}, "pso.swarm_size"),
         ({"flow": {"mach": "x"}}, "flow.mach"),
         ({"flow": {"reynolds": None}}, "flow.reynolds"),
+        ({"solver": {"high": {"panel_count": 96.9}}}, "solver.high.panel_count"),
+        ({"solver": {"high": {"panel_count": True}}}, "solver.high.panel_count"),
     ])
     def test_pso_rejects_wrong_type(self, payload, key, dat_file, tmp_path, capsys):
         self._assert_usage_error(["pso", "--airfoil", dat_file], payload, key, tmp_path, capsys)
@@ -304,6 +331,10 @@ class TestConfigValues:
     ])
     def test_train_rejects_zero_budget_and_wrong_type(self, payload, key, tmp_path, capsys):
         self._assert_usage_error(["train"], payload, key, tmp_path, capsys)
+
+    def test_evaluate_rejects_wrong_type_dataset(self, trained, tmp_path, capsys):
+        argv = ["evaluate", "--checkpoint", str(trained / "checkpoint.ckpt")]
+        self._assert_usage_error(argv, {"eval": {"dataset": 5}}, "eval.dataset", tmp_path, capsys)
 
     def test_integer_flow_value_is_kept_as_given(self, tmp_path):
         cfg = tmp_path / "int.json"
@@ -331,6 +362,8 @@ class TestUsageErrors:
         ["finetune", "--from", "x.ckpt", "--strategy", "1", "--timesteps", "-1"],
         ["pso", "--airfoil", "x.dat", "--swarm", "0"],
         ["pso", "--airfoil", "x.dat", "--iterations", "-3"],
+        ["train", "--sigma", "nan"],
+        ["train", "--sigma", "inf"],
     ])
     def test_nonpositive_counts_exit_2(self, argv, tmp_path):
         with pytest.raises(SystemExit) as err:

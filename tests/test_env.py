@@ -12,7 +12,6 @@ from foilrl.env import (
     StepReason,
     alpha_vector,
     denormalize_observation,
-    load_reset_pool,
     normalize_observation,
     thickness_kernel,
 )
@@ -263,14 +262,6 @@ class TestObservations:
 
 
 class TestFitCache:
-    def test_cache_roundtrip(self, tmp_path):
-        cache = tmp_path / "pool.json"
-        fits1 = load_reset_pool(("naca0012", "naca2412"), cache_path=cache)
-        assert cache.exists()
-        fits2 = load_reset_pool(("naca0012", "naca2412"), cache_path=cache)
-        for name in fits1:
-            np.testing.assert_array_equal(fits1[name], fits2[name])
-
     def test_pool_names_are_the_20_reset_airfoils(self):
         assert len(RESET_POOL_NAMES) == 20
         assert RESET_POOL_NAMES[0] == "naca0006"
