@@ -95,10 +95,6 @@ class AeroResult:
     confidence: float
     converged: bool
 
-    @property
-    def ratio(self) -> float:
-        return lift_drag_ratio(self)
-
 
 def lift_drag_ratio(result: AeroResult) -> float:
     """cl / cd of a converged result; consuming a failed solve is a bug."""

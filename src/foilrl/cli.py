@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every command resolves its configuration (defaults, then config file,
-then flags), serializes it into the output directory before doing any
-work, and writes machine-readable outputs there. CSV and summary JSON
-outputs are deterministic given a seed; measured wall times go to a
-separate timing.json. Exit codes: 0 success, 1 runtime failure, 2 usage.
+Every command that takes --config resolves its configuration (defaults,
+then config file, then flags), serializes it into the output directory
+before doing any work, and writes machine-readable outputs there. CSV
+and summary JSON outputs are deterministic given a seed; measured wall
+times go to a separate timing.json. Exit codes: 0 success, 1 runtime
+failure, 2 usage.
 """
 from __future__ import annotations
 
@@ -208,10 +209,8 @@ def cmd_train(args) -> int:
         rows = result.log_rows
         write_svg_lines(
             out / "reward_curve.svg",
-            {"mean episode reward": (
-                np.array([r["timesteps"] for r in rows]),
-                np.array([r["mean_episode_reward"] for r in rows]),
-            )},
+            {"mean episode reward": ([r["timesteps"] for r in rows],
+                                     [r["mean_episode_reward"] for r in rows])},
             title="Training reward",
             xlabel="timesteps",
             ylabel="mean episode reward",
@@ -344,10 +343,7 @@ def cmd_evaluate(args) -> int:
         ok = [r for r in records if r.converged]
         write_svg_scatter(
             out / "best_vs_initial.svg",
-            {"airfoils": (
-                np.array([r.initial_ratio for r in ok]),
-                np.array([r.best_ratio for r in ok]),
-            )},
+            {"airfoils": ([r.initial_ratio for r in ok], [r.best_ratio for r in ok])},
             title="Best vs initial lift-to-drag",
             xlabel="initial cl/cd",
             ylabel="best cl/cd",
@@ -420,19 +416,11 @@ def cmd_compare(args) -> int:
         flagged = pareto_front(points)
         write_pareto_csv(out / "pareto.csv", flagged)
         if args.svg:
-            front = [p for p in flagged if p["on_front"]]
-            rest = [p for p in flagged if not p["on_front"]]
             groups = {}
-            if front:
-                groups["front"] = (
-                    np.array([p["delta_mt"] for p in front]),
-                    np.array([p["best"] for p in front]),
-                )
-            if rest:
-                groups["dominated"] = (
-                    np.array([p["delta_mt"] for p in rest]),
-                    np.array([p["best"] for p in rest]),
-                )
+            for name, on_front in (("front", True), ("dominated", False)):
+                chosen = [p for p in flagged if p["on_front"] is on_front]
+                if chosen:
+                    groups[name] = ([p["delta_mt"] for p in chosen], [p["best"] for p in chosen])
             write_svg_scatter(
                 out / "pareto.svg", groups,
                 title="Aerodynamic best vs thickness deviation",
@@ -507,13 +495,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    # Each command takes only the flags it reads.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output directory")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--out", help="output directory")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--svg", action="store_true", help="also emit SVG plots")
+    svg = argparse.ArgumentParser(add_help=False)
+    svg.add_argument("--svg", action="store_true", help="also emit SVG plots")
 
-    p = sub.add_parser("train", parents=[common], help="train an agent")
+    p = sub.add_parser("train", parents=[common, svg], help="train an agent")
     p.add_argument("--solver", choices=["high", "low"])
     p.add_argument("--sigma", type=_nonnegative_float, default=None)
     p.add_argument("--timesteps", type=_positive_int, default=None)
@@ -526,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", type=int, choices=[1, 2, 3, 4], required=True)
     p.add_argument("--sigma", type=_nonnegative_float, default=None)
     p.add_argument("--timesteps", type=_positive_int, default=None)
-    p.add_argument("--tl-free-steps", type=int, default=81920,
+    p.add_argument("--tl-free-steps", type=_positive_int, default=81920,
                    help="baseline step count for the time-reduction report")
     p.add_argument("--high-cost-ms", type=float, default=None,
                    help="override the high-fidelity per-call nominal cost")
@@ -539,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--airfoil", required=True, help="coordinate .dat file")
     p.set_defaults(fn=cmd_optimize)
 
-    p = sub.add_parser("evaluate", parents=[common], help="evaluate on a dataset directory")
+    p = sub.add_parser("evaluate", parents=[common, svg], help="evaluate on a dataset directory")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", default=None, help="directory of .dat files (default: bundled)")
     p.add_argument("--sample", action="store_true", help="sample actions instead of means")
@@ -553,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_pso)
 
-    p = sub.add_parser("compare", parents=[common], help="side-by-side record comparison")
+    p = sub.add_parser("compare", parents=[output, svg], help="side-by-side record comparison")
     p.add_argument("--drl", required=True, help="records.csv from evaluate")
     p.add_argument("--pso", required=True, help="records.csv for the baseline")
     p.add_argument("--sweep", nargs="*", default=None,

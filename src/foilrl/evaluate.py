@@ -14,7 +14,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -202,26 +202,13 @@ def write_records_csv(path: str | Path, records: list[EvalRecord]) -> None:
 
 
 def read_records_csv(path: str | Path) -> list[EvalRecord]:
-    records = []
+    """Records as `write_records_csv` wrote them, each column cast to its field's type."""
+    cast = get_type_hints(EvalRecord)
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                EvalRecord(
-                    airfoil=row["airfoil"],
-                    initial_ratio=float(row["initial_ratio"]),
-                    best_ratio=float(row["best_ratio"]),
-                    improvement=float(row["improvement"]),
-                    mt_initial=float(row["mt_initial"]),
-                    mt_at_best=float(row["mt_at_best"]),
-                    delta_mt_percent=float(row["delta_mt_percent"]),
-                    episode_length=int(row["episode_length"]),
-                    termination_reason=row["termination_reason"],
-                    nominal_solver_cost_s=float(row["nominal_solver_cost_s"]),
-                    wall_time_s=float("nan"),
-                    converged=row["termination_reason"] != "initial_solve_failed",
-                )
-            )
-    return records
+        return [EvalRecord(**{c: cast[c](row[c]) for c in RECORD_COLUMNS},
+                           wall_time_s=float("nan"),
+                           converged=row["termination_reason"] != "initial_solve_failed")
+                for row in csv.DictReader(fh)]
 
 
 def write_summary_json(path: str | Path, summary: EvalSummary, extra: dict | None = None) -> None:

@@ -6,6 +6,7 @@ these are convenience views of them.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -15,14 +16,25 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
-    values = np.asarray(values, dtype=float)
     if hi == lo:
         hi = lo + 1.0
     return out_lo + (values - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def _axes(title: str, xlabel: str, ylabel: str, xlo, xhi, ylo, yhi) -> list[str]:
-    return [
+def _write_svg(path: str | Path, groups: dict[str, tuple[np.ndarray, np.ndarray]],
+               title: str, xlabel: str, ylabel: str,
+               draw: Callable[[np.ndarray, np.ndarray, str], list[str]]) -> None:
+    """Axes, shared bounds and legend; `draw(px, py, color)` returns one group's marks.
+
+    Points whose y is not finite are left out; the x range still covers them.
+    """
+    data = [(name, np.asarray(x, float), np.asarray(y, float)) for name, (x, y) in groups.items()]
+    xs_all = np.concatenate([x for _, x, _ in data])
+    ys_all = np.concatenate([y for _, _, y in data])
+    ys_all = ys_all[np.isfinite(ys_all)]
+    xlo, xhi = float(xs_all.min()), float(xs_all.max())
+    ylo, yhi = float(ys_all.min()), float(ys_all.max())
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
@@ -36,6 +48,16 @@ def _axes(title: str, xlabel: str, ylabel: str, xlo, xhi, ylo, yhi) -> list[str]
         f'<text x="{_MARGIN-6}" y="{_H-_MARGIN}" text-anchor="end">{ylo:.3g}</text>',
         f'<text x="{_MARGIN-6}" y="{_MARGIN+4}" text-anchor="end">{yhi:.3g}</text>',
     ]
+    for k, (name, x, y) in enumerate(data):
+        keep = np.isfinite(y)
+        color = _COLORS[k % len(_COLORS)]
+        parts += draw(_scale(x[keep], xlo, xhi, _MARGIN, _W - _MARGIN),
+                      _scale(y[keep], ylo, yhi, _H - _MARGIN, _MARGIN), color)
+        parts.append(
+            f'<text x="{_W-_MARGIN}" y="{_MARGIN + 16*k}" text-anchor="end" fill="{color}">{name}</text>'
+        )
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n")
 
 
 def write_svg_lines(
@@ -45,26 +67,11 @@ def write_svg_lines(
     xlabel: str = "",
     ylabel: str = "",
 ) -> None:
-    xs_all = np.concatenate([np.asarray(x, float) for x, _ in series.values()])
-    ys_all = np.concatenate([np.asarray(y, float) for _, y in series.values()])
-    ys_all = ys_all[np.isfinite(ys_all)]
-    xlo, xhi = float(xs_all.min()), float(xs_all.max())
-    ylo, yhi = float(ys_all.min()), float(ys_all.max())
-    parts = _axes(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
-    for k, (name, (x, y)) in enumerate(series.items()):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        keep = np.isfinite(y)
-        px = _scale(x[keep], xlo, xhi, _MARGIN, _W - _MARGIN)
-        py = _scale(y[keep], ylo, yhi, _H - _MARGIN, _MARGIN)
+    def polyline(px, py, color):
         pts = " ".join(f"{a:.1f},{b:.1f}" for a, b in zip(px, py))
-        color = _COLORS[k % len(_COLORS)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{_W-_MARGIN}" y="{_MARGIN + 16*k}" text-anchor="end" fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+        return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>']
+
+    _write_svg(path, series, title, xlabel, ylabel, polyline)
 
 
 def write_svg_scatter(
@@ -74,19 +81,8 @@ def write_svg_scatter(
     xlabel: str = "",
     ylabel: str = "",
 ) -> None:
-    xs_all = np.concatenate([np.asarray(x, float) for x, _ in groups.values()])
-    ys_all = np.concatenate([np.asarray(y, float) for _, y in groups.values()])
-    xlo, xhi = float(xs_all.min()), float(xs_all.max())
-    ylo, yhi = float(ys_all.min()), float(ys_all.max())
-    parts = _axes(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
-    for k, (name, (x, y)) in enumerate(groups.items()):
-        px = _scale(np.asarray(x, float), xlo, xhi, _MARGIN, _W - _MARGIN)
-        py = _scale(np.asarray(y, float), ylo, yhi, _H - _MARGIN, _MARGIN)
-        color = _COLORS[k % len(_COLORS)]
-        for a, b in zip(px, py):
-            parts.append(f'<circle cx="{a:.1f}" cy="{b:.1f}" r="3" fill="{color}" fill-opacity="0.6"/>')
-        parts.append(
-            f'<text x="{_W-_MARGIN}" y="{_MARGIN + 16*k}" text-anchor="end" fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    def circles(px, py, color):
+        return [f'<circle cx="{a:.1f}" cy="{b:.1f}" r="3" fill="{color}" fill-opacity="0.6"/>'
+                for a, b in zip(px, py)]
+
+    _write_svg(path, groups, title, xlabel, ylabel, circles)

@@ -370,6 +370,11 @@ def train(
     log_rows: list[dict] = []
     steps_done = 0
     update = 0
+
+    def checkpoint(meta: dict) -> AgentCheckpoint:
+        return AgentCheckpoint(actor, critic, adam, steps_done, env_config.config_hash(),
+                               env_config.sigma, env_config.fidelity, meta)
+
     while steps_done < ppo_config.total_timesteps:
         buffer = collect_rollout(
             envs, actor, critic, ppo_config.n_steps, sample_rng, ppo_config.gamma
@@ -379,9 +384,7 @@ def train(
             stats = ppo_update(actor, critic, adam, buffer, ppo_config, shuffle_rng, freeze)
         except TrainingDiverged:
             if checkpoint_path is not None:
-                _write_checkpoint(
-                    checkpoint_path, actor, critic, adam, steps_done, env_config
-                )
+                save_checkpoint(checkpoint_path, checkpoint({"diverged": True}))
             raise
         steps_done += buffer.n_steps * buffer.n_envs
         update += 1
@@ -396,35 +399,16 @@ def train(
 
     solver_calls = sum(env.solver.calls for env in envs)
     nominal_cost_s = sum(env.solver.nominal_cost_s for env in envs)
-    ckpt = AgentCheckpoint(
-        actor=actor,
-        critic=critic,
-        adam=adam,
-        train_steps=steps_done,
-        env_config_hash=env_config.config_hash(),
-        sigma=env_config.sigma,
-        fidelity=env_config.fidelity,
-        meta={
-            "solver_calls": solver_calls,
-            "nominal_cost_s": nominal_cost_s,
-            "nominal_cost_ms_per_call": envs[0].solver.cfg.nominal_cost_ms,
-        },
-    )
+    ckpt = checkpoint({
+        "solver_calls": solver_calls,
+        "nominal_cost_s": nominal_cost_s,
+        "nominal_cost_ms_per_call": envs[0].solver.cfg.nominal_cost_ms,
+    })
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, ckpt)
     if log_path is not None:
         write_training_log(log_path, log_rows)
     return TrainResult(ckpt, log_rows, steps_done, solver_calls, nominal_cost_s)
-
-
-def _write_checkpoint(path, actor, critic, adam, steps, env_config):
-    save_checkpoint(
-        path,
-        AgentCheckpoint(
-            actor, critic, adam, steps, env_config.config_hash(),
-            env_config.sigma, env_config.fidelity, {"diverged": True},
-        ),
-    )
 
 
 def write_training_log(path: str | Path, rows: list[dict]) -> None:

@@ -13,6 +13,7 @@ import pytest
 import foilrl
 from foilrl import bundled_airfoil_dir, cli, naca
 from foilrl.cli import main
+from foilrl.evaluate import EvalRecord, write_records_csv
 from foilrl.nets import AgentCheckpoint, forward, load_checkpoint, mlp_init, policy_init
 from foilrl.nets import save_checkpoint
 
@@ -556,3 +557,47 @@ class TestFreedMemoryKept:
 
         monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
         cli._keep_freed_memory()
+
+
+class TestFlagsEachCommandReads:
+    @pytest.mark.parametrize("argv", [
+        ["finetune", "--from", "x.ckpt", "--strategy", "1", "--svg"],
+        ["optimize", "--checkpoint", "x.ckpt", "--airfoil", "x.dat", "--svg"],
+        ["pso", "--airfoil", "x.dat", "--svg"],
+        ["compare", "--drl", "a.csv", "--pso", "b.csv", "--config", "c.json"],
+        ["compare", "--drl", "a.csv", "--pso", "b.csv", "--seed", "1"],
+    ])
+    def test_unread_flag_is_usage_error(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_svg_without_config(self, tmp_path):
+        records = tmp_path / "records.csv"
+        write_records_csv(records, [EvalRecord("naca0012", 50.0, 80.0, 30.0, 0.12, 0.12, 0.0,
+                                               3, "max_steps", 0.2, 0.1, True)])
+        sweeps = []
+        for k, (sig, dmt, best) in enumerate([(0, 64, 241), (15, 12, 180), (30, 20, 170)]):
+            p = tmp_path / f"s{k}.json"
+            p.write_text(json.dumps({"sigma": sig, "delta_mt_mean": dmt, "best_median": best}))
+            sweeps.append(str(p))
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--drl", str(records), "--pso", str(records),
+                   "--sweep", *sweeps, "--out", str(out), "--svg"])
+        assert rc == 0
+        svg = (out / "pareto.svg").read_text()
+        assert svg.count("<circle") == 3
+        assert ">front</text>" in svg and ">dominated</text>" in svg
+
+
+class TestTlFreeSteps:
+    @pytest.mark.parametrize("steps", ["0", "-4096"])
+    def test_nonpositive_is_usage_error_before_training(self, steps, trained, tmp_path,
+                                                        fast_config):
+        with pytest.raises(SystemExit) as err:
+            main(["finetune", "--from", str(trained / "checkpoint.ckpt"), "--strategy", "1",
+                  "--timesteps", "512", "--tl-free-steps", steps, "--config", fast_config,
+                  "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert not (tmp_path / "checkpoint.ckpt").exists()

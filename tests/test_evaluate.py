@@ -6,6 +6,7 @@ from foilrl.aero import high_fidelity_config
 from foilrl.env import EnvConfig
 from foilrl.errors import EmptyEvalError
 from foilrl.evaluate import (
+    RECORD_COLUMNS,
     EvalRecord,
     compare_report,
     evaluate_policy,
@@ -161,6 +162,19 @@ class TestRecordsCsv:
         assert [r.airfoil for r in loaded] == ["a", "b"]
         assert loaded[0].best_ratio == records[0].best_ratio
         assert not loaded[1].converged
+
+    def test_every_column_read_back_with_its_type(self, tmp_path):
+        records = [record(name="a"), record(name="b", initial=float("nan"), converged=False)]
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records)
+        loaded = read_records_csv(path)
+        for original, back in zip(records, loaded, strict=True):
+            for column in RECORD_COLUMNS:
+                want, got = getattr(original, column), getattr(back, column)
+                assert type(got) is type(want), column
+                assert got == want or (want != want and got != got), column
+            assert back.converged == original.converged
+            assert np.isnan(back.wall_time_s)
 
     def test_no_wall_time_column(self, tmp_path):
         path = tmp_path / "records.csv"
