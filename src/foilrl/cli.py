@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import ctypes
+import functools
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from . import bundled_airfoil_dir, __version__
 from .aero import CountingSolver, FlowConditions, SolverConfig
 from .aero import high_fidelity_config, low_fidelity_config
 from .env import AirfoilEnv, EnvConfig
-from .errors import ConfigValueError, EmptyEvalError, FoilRlError, ResetError, UsageError
+from .errors import ConfigValueError, ContractViolation, EmptyEvalError, FoilRlError
+from .errors import ResetError, UsageError
 from .evaluate import (
     _roll_episode,
     compare_report,
@@ -46,7 +48,7 @@ from .nets import AgentCheckpoint, AdamState, load_checkpoint, save_checkpoint
 from .nets import _agent_from_tensors, _named_tensors
 from .outputs import write_csv, write_json
 from .plotting import write_svg_lines, write_svg_scatter
-from .ppo import PRESETS, PpoConfig, preset, train
+from .ppo import PRESETS, PpoConfig, preset, train, trained_timesteps
 from .pso import PsoConfig, pso_optimize_airfoil
 from .transfer import TlStrategy, finetune, time_reduction, write_ledger_json
 
@@ -66,6 +68,18 @@ DEFAULT_CONFIG: dict = {
     "eval": {"dataset": None},
 }
 
+# The one place that says which flag sets which config key: argparse dest -> dotted key.
+FLAG_KEYS = {
+    "seed": "seed", "solver": "env.fidelity", "sigma": "env.sigma", "dataset": "eval.dataset",
+    "timesteps": "ppo.total_timesteps", "preset": "ppo.preset", "n_envs": "ppo.n_envs",
+    "high_cost_ms": "solver.high.nominal_cost_ms", "low_cost_ms": "solver.low.nominal_cost_ms",
+    "swarm": "pso.swarm_size", "iterations": "pso.max_iterations",
+    "keep_thickness": "pso.thickness_tolerance",
+}
+
+# finetune trains with its own preset; a --config file may only confirm it.
+_FINETUNE_DEFAULTS = {**DEFAULT_CONFIG, "ppo": {**DEFAULT_CONFIG["ppo"], "preset": "finetune"}}
+
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     """Merge `override` into a copy of `base`; keys that `base` lacks are usage errors."""
@@ -82,13 +96,15 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _load_config(args) -> dict:
-    """The defaults, then the --config file, then the --seed flag."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+def _load_config(args, defaults: dict = DEFAULT_CONFIG) -> dict:
+    """The defaults, then the --config file, then the flags given, by `FLAG_KEYS`."""
+    cfg = copy.deepcopy(defaults)
     if args.config:
         cfg = _deep_merge(cfg, json.loads(Path(args.config).read_text()))
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for dest, key in FLAG_KEYS.items():
+        if (value := getattr(args, dest, None)) is not None:
+            *sections, leaf = key.split(".")
+            functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
     with _section(""):
         _numbers({"seed": cfg["seed"]}, DEFAULT_CONFIG)
     return cfg
@@ -148,32 +164,26 @@ def _flow(cfg: dict) -> FlowConditions:
         return FlowConditions(**_numbers(cfg["flow"], DEFAULT_CONFIG["flow"]))
 
 
-def _env_config(cfg: dict, fidelity: str | None = None, sigma: float | None = None) -> EnvConfig:
+def _env_config(cfg: dict) -> EnvConfig:
     env = cfg["env"]
     with _section("env."):
-        numbers = _numbers({"sigma": sigma if sigma is not None else env["sigma"],
-                            "episode_max_length": env["episode_max_length"]},
-                           DEFAULT_CONFIG["env"])
-        base = EnvConfig(
-            sigma=float(numbers["sigma"]),
-            fidelity=fidelity if fidelity is not None else env["fidelity"],
-            episode_max_length=numbers["episode_max_length"],
-            rng_seed=cfg["seed"],
-        )
+        _numbers({k: env[k] for k in ("sigma", "episode_max_length")}, DEFAULT_CONFIG["env"])
+        base = EnvConfig(sigma=float(env["sigma"]), fidelity=env["fidelity"],
+                         episode_max_length=env["episode_max_length"], rng_seed=cfg["seed"])
     # The fidelity is checked before it picks the solver section.
     return replace(base, flow=_flow(cfg), solver_config=_solver_config(cfg, base.fidelity))
 
 
-def _ppo_config(cfg: dict, preset_name: str, timesteps: int | None) -> PpoConfig:
+def _ppo_config(cfg: dict) -> PpoConfig:
+    ppo = cfg["ppo"]
+    preset_name = ppo["preset"]
     with _section("ppo."):
         if not (isinstance(preset_name, str) and preset_name in PRESETS):
             raise ConfigValueError(
                 "preset", f"must be one of {', '.join(sorted(PRESETS))}, not {preset_name!r}")
-        overrides = {"n_envs": cfg["ppo"]["n_envs"]}
-        if timesteps is not None:
-            overrides["total_timesteps"] = timesteps
-        elif cfg["ppo"]["total_timesteps"] is not None:
-            overrides["total_timesteps"] = cfg["ppo"]["total_timesteps"]
+        overrides = {"n_envs": ppo["n_envs"]}
+        if ppo["total_timesteps"] is not None:
+            overrides["total_timesteps"] = ppo["total_timesteps"]
         _numbers(overrides, asdict(PRESETS[preset_name]))
         # Rejected like `--timesteps 0`: a zero budget would train nothing.
         if overrides.get("total_timesteps", 1) < 1:
@@ -183,19 +193,10 @@ def _ppo_config(cfg: dict, preset_name: str, timesteps: int | None) -> PpoConfig
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    if args.sigma is not None:
-        cfg["env"]["sigma"] = args.sigma
-    if args.solver is not None:
-        cfg["env"]["fidelity"] = args.solver
-    if args.n_envs is not None:
-        cfg["ppo"]["n_envs"] = args.n_envs
-    if args.preset is not None:
-        cfg["ppo"]["preset"] = args.preset
-
     out = _out_dir(args, "train")
     env_config = _env_config(cfg)
-    ppo_config = _ppo_config(cfg, cfg["ppo"]["preset"], args.timesteps)
-    cfg["ppo"]["total_timesteps"] = ppo_config.total_timesteps
+    ppo_config = _ppo_config(cfg)
+    cfg["ppo"]["total_timesteps"] = trained_timesteps(ppo_config)
     write_json(out / "resolved_config.json", cfg)
 
     result = train(
@@ -224,19 +225,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = _load_config(args)
-    if args.high_cost_ms is not None:
-        cfg["solver"]["high"]["nominal_cost_ms"] = args.high_cost_ms
-    if args.low_cost_ms is not None:
-        cfg["solver"]["low"]["nominal_cost_ms"] = args.low_cost_ms
+    cfg = _load_config(args, _FINETUNE_DEFAULTS)
+    if cfg["ppo"]["preset"] != "finetune":
+        raise UsageError(f"config ppo.preset must be 'finetune' for finetune, "
+                         f"not {cfg['ppo']['preset']!r}")
+    cfg["env"]["fidelity"] = "high"
     out = _out_dir(args, "finetune")
     source = load_checkpoint(args.source)
-    if args.low_cost_ms is not None:
-        source.meta["nominal_cost_ms_per_call"] = args.low_cost_ms
-    env_config = _env_config(cfg, fidelity="high", sigma=args.sigma)
-    ppo_config = _ppo_config(cfg, "finetune", args.timesteps)
-    cfg["ppo"]["preset"] = "finetune"
-    cfg["ppo"]["total_timesteps"] = ppo_config.total_timesteps
+    if args.low_cost_ms is not None:  # the source's recorded price, which no config key holds
+        source.meta["nominal_cost_ms_per_call"] = _solver_config(cfg, "low").nominal_cost_ms
+    env_config = _env_config(cfg)
+    ppo_config = _ppo_config(cfg)
+    cfg["ppo"]["total_timesteps"] = trained_timesteps(ppo_config)
     write_json(out / "resolved_config.json", cfg)
 
     fres = finetune(
@@ -270,7 +270,8 @@ def cmd_optimize(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     _, coords = read_dat(args.airfoil)
     params, residual = fit_cst(coords)
-    env_config = _env_config(cfg, fidelity="high", sigma=ckpt.sigma)
+    cfg["env"].update(fidelity="high", sigma=ckpt.sigma)
+    env_config = _env_config(cfg)
     write_json(out / "resolved_config.json", cfg)
 
     rows = []
@@ -318,8 +319,9 @@ def cmd_evaluate(args) -> int:
     dataset_dir = cfg["eval"]["dataset"]
     if not (dataset_dir is None or isinstance(dataset_dir, str)):
         raise UsageError(f"config eval.dataset must be a string or null, not {dataset_dir!r}")
-    dataset_dir = args.dataset or dataset_dir or bundled_airfoil_dir()
-    env_config = _env_config(cfg, fidelity="high", sigma=ckpt.sigma)
+    dataset_dir = dataset_dir or bundled_airfoil_dir()
+    cfg["env"].update(fidelity="high", sigma=ckpt.sigma)
+    env_config = _env_config(cfg)
     write_json(out / "resolved_config.json", cfg)
 
     dataset = load_dataset(dataset_dir)
@@ -360,12 +362,6 @@ def cmd_evaluate(args) -> int:
 def cmd_pso(args) -> int:
     faults0 = _minor_faults()
     cfg = _load_config(args)
-    if args.swarm is not None:
-        cfg["pso"]["swarm_size"] = args.swarm
-    if args.iterations is not None:
-        cfg["pso"]["max_iterations"] = args.iterations
-    if args.keep_thickness is not None:
-        cfg["pso"]["thickness_tolerance"] = args.keep_thickness
     solver = CountingSolver("high", _flow(cfg), _solver_config(cfg, "high"))
     with _section("pso."):
         pso_config = PsoConfig(**_numbers(cfg["pso"], DEFAULT_CONFIG["pso"]))
@@ -408,11 +404,11 @@ def cmd_compare(args) -> int:
         points = []
         for path in args.sweep:
             payload = json.loads(Path(path).read_text())
-            points.append({
-                "sigma": payload["sigma"],
-                "delta_mt": payload["delta_mt_mean"],
-                "best": payload["best_median"],
-            })
+            for key in ("sigma", "delta_mt_mean", "best_median"):
+                if not (isinstance(payload, dict) and key in payload):
+                    raise ContractViolation(f"{path}: missing key {key}")
+            points.append({"sigma": payload["sigma"], "delta_mt": payload["delta_mt_mean"],
+                           "best": payload["best_median"]})
         flagged = pareto_front(points)
         write_pareto_csv(out / "pareto.csv", flagged)
         if args.svg:

@@ -9,9 +9,11 @@ where lambda is a Gaussian kernel penalizing maximum-thickness drift.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -121,14 +123,20 @@ class StepOutcome:
     info: dict
 
 
-def load_reset_pool(names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Fitted design vectors for the named bundled airfoils."""
+@functools.cache
+def load_reset_pool(names: tuple[str, ...]) -> MappingProxyType:
+    """Fitted design vectors for the named bundled airfoils, fitted once per process.
+
+    The fits depend only on the bundled files, so every env on the same
+    names shares one read-only mapping of read-only vectors.
+    """
     fits: dict[str, np.ndarray] = {}
     for name in names:
         _, coords = read_dat(bundled_airfoil_dir() / f"{name}.dat")
         params, _ = fit_cst(coords)
+        params.vector.flags.writeable = False
         fits[name] = params.vector
-    return fits
+    return MappingProxyType(fits)
 
 
 class AirfoilEnv:
@@ -140,9 +148,13 @@ class AirfoilEnv:
         self.alpha = alpha_vector(config)
         self.solver = CountingSolver(config.fidelity, config.flow, config.solver_config)
         self._geometry_stations = self.solver.cfg.geometry_stations
-        self.pool = load_reset_pool(config.reset_pool)
         self.state: EnvState | None = None
         self.failure_reason: StepReason | None = None
+
+    @property
+    def pool(self) -> MappingProxyType:
+        """The reset airfoils' fits; a reset from given parameters never fits them."""
+        return load_reset_pool(tuple(self.config.reset_pool))
 
     def _solve(self, params: np.ndarray):
         """Returns (result, mt) or None when the step must terminate.
@@ -171,11 +183,12 @@ class AirfoilEnv:
             vec = params.vector if isinstance(params, CstParams) else np.asarray(params, float)
             candidates = [vec]
         else:
-            if not self.pool:
+            pool = self.pool
+            if not pool:
                 raise ResetError("reset pool is empty")
-            names = sorted(self.pool)
+            names = sorted(pool)
             candidates = [
-                self.pool[names[self.rng.integers(len(names))]]
+                pool[names[self.rng.integers(len(names))]]
                 for _ in range(RESET_MAX_RETRIES)
             ]
         for vec in candidates:

@@ -19,7 +19,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .env import AirfoilEnv, EnvConfig, EnvState
-from .errors import EmptyEvalError, FitError, ResetError
+from .errors import ContractViolation, EmptyEvalError, FitError, ResetError
 from .geometry import CstParams, fit_cst, read_dat
 from .nets import AgentCheckpoint, gaussian_sample
 from .outputs import write_csv, write_json
@@ -205,10 +205,17 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
     """Records as `write_records_csv` wrote them, each column cast to its field's type."""
     cast = get_type_hints(EvalRecord)
     with open(path, newline="") as fh:
-        return [EvalRecord(**{c: cast[c](row[c]) for c in RECORD_COLUMNS},
-                           wall_time_s=float("nan"),
-                           converged=row["termination_reason"] != "initial_solve_failed")
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        for column in RECORD_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ContractViolation(f"{path}: missing column {column}")
+        try:
+            return [EvalRecord(**{c: cast[c](row[c]) for c in RECORD_COLUMNS},
+                               wall_time_s=float("nan"),
+                               converged=row["termination_reason"] != "initial_solve_failed")
+                    for row in reader]
+        except (TypeError, ValueError) as exc:  # a short row gives None, a bad number ValueError
+            raise ContractViolation(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def write_summary_json(path: str | Path, summary: EvalSummary, extra: dict | None = None) -> None:

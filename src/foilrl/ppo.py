@@ -96,6 +96,12 @@ def preset(name: str, **overrides) -> PpoConfig:
     return replace(PRESETS[name], **overrides)
 
 
+def trained_timesteps(config: PpoConfig) -> int:
+    """The steps `train` runs: `total_timesteps` rounded up to whole rollouts (n_steps x n_envs)."""
+    rollout = config.n_steps * config.n_envs
+    return -(-config.total_timesteps // rollout) * rollout
+
+
 @dataclass
 class RolloutBuffer:
     obs: np.ndarray          # (T, E, obs_dim)
@@ -368,6 +374,7 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     log_rows: list[dict] = []
+    budget = trained_timesteps(ppo_config)
     steps_done = 0
     update = 0
 
@@ -375,7 +382,7 @@ def train(
         return AgentCheckpoint(actor, critic, adam, steps_done, env_config.config_hash(),
                                env_config.sigma, env_config.fidelity, meta)
 
-    while steps_done < ppo_config.total_timesteps:
+    while steps_done < budget:
         buffer = collect_rollout(
             envs, actor, critic, ppo_config.n_steps, sample_rng, ppo_config.gamma
         )

@@ -386,6 +386,17 @@ class TestFinetuneLedger:
         assert written["pretrain_cost_ms_per_call"] == 8.0
         assert {k: written[k] for k in stored} == stored
 
+    @pytest.mark.parametrize("price", ["-3", "nan"])
+    def test_bad_low_cost_is_usage_error_before_training(self, price, trained, tmp_path,
+                                                          fast_config, capsys):
+        rc = main(["finetune", "--from", str(trained / "checkpoint.ckpt"), "--strategy", "1",
+                   "--timesteps", "512", "--config", fast_config, "--low-cost-ms", price,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config solver.low.nominal_cost_ms ") and err.count("\n") == 1
+        assert not (tmp_path / "checkpoint.ckpt").exists()
+
 
 @pytest.fixture(scope="module")
 def untrained(tmp_path_factory):
@@ -601,3 +612,144 @@ class TestTlFreeSteps:
                   "--out", str(tmp_path)])
         assert err.value.code == 2
         assert not (tmp_path / "checkpoint.ckpt").exists()
+
+
+def _outputs(run: Path) -> dict:
+    """Each deterministic output file of a run, by name."""
+    return {p.name: p.read_bytes() for p in run.iterdir() if p.name != "timing.json"}
+
+
+class TestFlagKeys:
+    def test_each_pairing_names_a_flag_and_a_config_key(self):
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        dests = {a.dest for p in commands.values() for a in p._actions}
+        for dest, key in cli.FLAG_KEYS.items():
+            assert dest in dests
+            section = cli.DEFAULT_CONFIG
+            for name in key.split("."):
+                section = section[name]
+
+
+@pytest.fixture(scope="module")
+def sigma15(tmp_path_factory, trained, fast_config):
+    """A fine-tuned checkpoint with sigma 15."""
+    out = tmp_path_factory.mktemp("sigma15")
+    assert main(["finetune", "--from", str(trained / "checkpoint.ckpt"), "--strategy", "1",
+                 "--sigma", "15", "--timesteps", "512", "--seed", "5", "--config", fast_config,
+                 "--out", str(out)]) == 0
+    return str(out / "checkpoint.ckpt")
+
+
+class TestResolvedConfigRepeatsTheRun:
+    """A second run given only the first's resolved_config.json and the non-config arguments."""
+
+    @staticmethod
+    def _rerun(tmp_path, command, flags) -> dict:
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(command + flags + ["--out", str(first)]) == 0
+        resolved = first / "resolved_config.json"
+        assert main(command + ["--config", str(resolved), "--out", str(second)]) == 0
+        assert _outputs(first) == _outputs(second)
+        return json.loads(resolved.read_text())
+
+    def test_train_records_the_trained_budget(self, tmp_path, fast_config):
+        cfg = self._rerun(tmp_path, ["train"], [
+            "--solver", "low", "--sigma", "2.5", "--preset", "finetune", "--timesteps", "64",
+            "--seed", "3", "--config", fast_config])
+        assert cfg["ppo"]["total_timesteps"] == 512
+        assert load_checkpoint(tmp_path / "first" / "checkpoint.ckpt").train_steps == 512
+
+    def test_finetune(self, trained, tmp_path, fast_config):
+        cfg = self._rerun(tmp_path, [
+            "finetune", "--from", str(trained / "checkpoint.ckpt"), "--strategy", "3",
+            "--tl-free-steps", "4096"], [
+            "--sigma", "15", "--timesteps", "512", "--high-cost-ms", "50", "--seed", "6",
+            "--config", fast_config])
+        assert cfg["env"] == {"fidelity": "high", "sigma": 15.0, "episode_max_length": 100}
+        assert cfg["ppo"]["preset"] == "finetune"
+        assert cfg["solver"]["high"]["nominal_cost_ms"] == 50.0
+
+    def test_evaluate(self, sigma15, tmp_path, fast_config):
+        dataset = tmp_path / "ds"
+        dataset.mkdir()
+        for name in ("naca0012", "naca2412"):
+            (dataset / f"{name}.dat").write_bytes((bundled_airfoil_dir() / f"{name}.dat")
+                                                  .read_bytes())
+        cfg = self._rerun(tmp_path, ["evaluate", "--checkpoint", sigma15, "--sample"], [
+            "--dataset", str(dataset), "--seed", "2", "--config", fast_config])
+        assert cfg["eval"]["dataset"] == str(dataset)
+        assert cfg["env"]["fidelity"] == "high" and cfg["env"]["sigma"] == 15.0
+
+    def test_optimize(self, sigma15, dat_file, tmp_path, fast_config):
+        cfg = self._rerun(tmp_path, ["optimize", "--checkpoint", sigma15, "--airfoil", dat_file],
+                          ["--seed", "4", "--config", fast_config])
+        assert cfg["env"]["fidelity"] == "high" and cfg["env"]["sigma"] == 15.0
+
+
+class TestFinetunePresetInConfig:
+    @pytest.mark.parametrize("name", ["pretrain", "from-scratch", 5])
+    def test_other_preset_is_one_line_usage_error(self, name, trained, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST, "ppo": {"preset": name}}))
+        rc = main(["finetune", "--from", str(trained / "checkpoint.ckpt"), "--strategy", "1",
+                   "--timesteps", "512", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ppo.preset ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_finetune_preset_changes_nothing(self, trained, tmp_path, fast_config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST, "ppo": {"preset": "finetune"}}))
+        argv = ["finetune", "--from", str(trained / "checkpoint.ckpt"), "--strategy", "1",
+                "--timesteps", "512", "--seed", "5"]
+        assert main(argv + ["--config", fast_config, "--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
+
+
+class TestCompareChecksItsInputs:
+    @pytest.fixture
+    def records(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(path, [EvalRecord("naca0012", 50.0, 80.0, 30.0, 0.12, 0.12, 0.0,
+                                            3, "max_steps", 0.2, 0.1, True)])
+        return path
+
+    @staticmethod
+    def _assert_runtime_error(argv, path, key, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and key in err
+
+    @pytest.mark.parametrize("column", ["best_ratio", "termination_reason"])
+    def test_records_without_a_column(self, column, records, tmp_path, capsys):
+        with records.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        bad = tmp_path / "bad.csv"
+        with bad.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, [c for c in rows[0] if c != column], extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        self._assert_runtime_error(["compare", "--drl", str(records), "--pso", str(bad)],
+                                   bad, column, tmp_path, capsys)
+
+    @pytest.mark.parametrize("line, fragment", [
+        ("naca0012,50,abc,30,0.12,0.12,0,3,max_steps,0.2", "abc"),
+        ("naca0012,50,80", "line 2"),
+    ])
+    def test_records_with_a_bad_row(self, line, fragment, records, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(records.read_text().splitlines()[0] + "\n" + line + "\n")
+        self._assert_runtime_error(["compare", "--drl", str(bad), "--pso", str(records)],
+                                   bad, fragment, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", ["sigma", "delta_mt_mean", "best_median"])
+    def test_sweep_without_a_key(self, key, records, tmp_path, capsys):
+        sweep = tmp_path / "summary.json"
+        payload = {"sigma": 15, "delta_mt_mean": 12.0, "best_median": 180.0}
+        del payload[key]
+        sweep.write_text(json.dumps(payload))
+        self._assert_runtime_error(["compare", "--drl", str(records), "--pso", str(records),
+                                    "--sweep", str(sweep)], sweep, key, tmp_path, capsys)

@@ -80,6 +80,30 @@ class TestReset:
             denormalize_observation(obs1, env.config.bounds), env.pool["naca0012"]
         )
 
+    def test_pool_is_fitted_once_and_only_when_drawn(self, monkeypatch):
+        import foilrl.env
+        from foilrl import bundled_airfoil_dir
+
+        _, coords = geometry.read_dat(bundled_airfoil_dir() / "naca4415.dat")
+        start, _ = geometry.fit_cst(coords)
+        calls = []
+        fit = foilrl.env.fit_cst
+        monkeypatch.setattr(foilrl.env, "fit_cst", lambda coords: calls.append(1) or fit(coords))
+        foilrl.env.load_reset_pool.cache_clear()
+        pool = ("naca2412", "naca0012")
+        first = make_env(seed=1, reset_pool=pool)
+        first.reset(start)
+        assert calls == []  # a reset from given parameters fits no pool airfoil
+        first.reset()
+        assert len(calls) == len(pool)
+        calls.clear()
+        second = make_env(seed=2, reset_pool=pool)
+        second.reset()
+        assert calls == []
+        assert second.pool is first.pool
+        with pytest.raises(ValueError):
+            second.pool["naca0012"][0] = 0.0
+
     def test_empty_pool_raises(self):
         with pytest.raises(ResetError):
             make_env(reset_pool=()).reset()

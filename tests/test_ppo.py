@@ -24,6 +24,7 @@ from foilrl.ppo import (
     ppo_update,
     preset,
     train,
+    trained_timesteps,
 )
 
 
@@ -271,6 +272,19 @@ class TestTrain:
         assert result.total_steps == 1024
         assert len(result.log_rows) == 2
         assert result.solver_calls > 1024  # resets included
+
+    @pytest.mark.parametrize("total, n_envs, expected", [
+        (64, 1, 512), (512, 1, 512), (513, 1, 1024), (600, 2, 1024), (0, 1, 0),
+    ])
+    def test_budget_rounds_up_to_whole_rollouts(self, total, n_envs, expected):
+        pcfg = preset("finetune", total_timesteps=total, n_envs=n_envs)
+        assert trained_timesteps(pcfg) == expected
+
+    def test_trains_the_rounded_budget(self):
+        cfg = EnvConfig(sigma=0.0, fidelity="low", rng_seed=0)
+        pcfg = preset("pretrain", total_timesteps=300, n_steps=256, n_epochs=1)
+        result = train(cfg, pcfg, seed=4)
+        assert result.total_steps == trained_timesteps(pcfg) == 512
 
     def test_checkpoint_metadata(self, tmp_path):
         cfg = EnvConfig(sigma=2.5, fidelity="low", rng_seed=0)
