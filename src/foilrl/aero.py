@@ -14,13 +14,15 @@ Both apply the subcritical compressibility correction cl / sqrt(1 - Ma^2).
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
-from .geometry import AirfoilGeometry, is_station_grid, is_valid, max_thickness, station_grid
+from .geometry import AirfoilGeometry, is_valid, max_thickness, station_grid
 
 CD_FLOOR = 1e-4
 
@@ -80,12 +82,25 @@ class SolverConfig:
         return max(self.panel_count // 2 + 1, 64)
 
 
+class Fidelity(NamedTuple):
+    solver: str  # the name of a solve function of this module
+    config: SolverConfig  # its default settings
+
+
+# The one table of fidelities. `CountingSolver` looks a solver up by name when it
+# is built, so a wrapper set on the module attribute (as perfbench sets) sees every call.
+FIDELITIES = {
+    "high": Fidelity("solve_high_fidelity", SolverConfig()),
+    "low": Fidelity("solve_low_fidelity", SolverConfig(nominal_cost_ms=4.0)),
+}
+
+
 def high_fidelity_config(**overrides) -> SolverConfig:
-    return replace(SolverConfig(), **overrides)
+    return replace(FIDELITIES["high"].config, **overrides)
 
 
 def low_fidelity_config(**overrides) -> SolverConfig:
-    return replace(SolverConfig(nominal_cost_ms=4.0), **overrides)
+    return replace(FIDELITIES["low"].config, **overrides)
 
 
 @dataclass(frozen=True)
@@ -426,6 +441,7 @@ class _SurrogateGrid:
     """Every term of the surrogate that depends on the stations `x` alone."""
 
     def __init__(self, x: np.ndarray):
+        self.x = x
         self.gradient = _gradient_weights(x)
         self.widths = x[1:] - x[:-1]
         # Thin-airfoil variable: x = (1 - cos theta) / 2.
@@ -440,18 +456,16 @@ class _SurrogateGrid:
         self.aft_denom = 1.0 - x[aft] + 0.02
 
 
-# Keyed by the id of a cached station vector from `geometry.station_grid`;
-# those vectors live as long as the process, so their ids are never reused.
-_SURROGATE_GRIDS: dict[int, _SurrogateGrid] = {}
+@functools.cache
+def _station_terms(n: int) -> _SurrogateGrid:
+    return _SurrogateGrid(station_grid(n).x)
 
 
 def _surrogate_grid(x: np.ndarray) -> _SurrogateGrid:
-    grid = _SURROGATE_GRIDS.get(id(x))
-    if grid is None:
-        grid = _SurrogateGrid(x)
-        if is_station_grid(x):
-            _SURROGATE_GRIDS[id(x)] = grid
-    return grid
+    """The terms of `x`: kept per station count for that count's station vector,
+    built per call for any other vector."""
+    grid = _station_terms(x.size)
+    return grid if grid.x is x else _SurrogateGrid(x)
 
 
 def _camber_zero_lift_angle(grid: _SurrogateGrid, camber: np.ndarray) -> float:
@@ -524,14 +538,6 @@ def solve_low_fidelity(
     return AeroResult(float(cl), float(cd), kappa, True)
 
 
-def get_solver(fidelity: str):
-    if fidelity == "high":
-        return solve_high_fidelity
-    if fidelity == "low":
-        return solve_low_fidelity
-    raise InvalidParams(f"unknown fidelity {fidelity!r}")
-
-
 @dataclass
 class CountingSolver:
     """Wraps a solver function and accumulates call/cost bookkeeping."""
@@ -542,9 +548,12 @@ class CountingSolver:
     calls: int = 0
 
     def __post_init__(self):
+        fidelity = FIDELITIES.get(self.fidelity)
+        if fidelity is None:
+            raise InvalidParams(f"unknown fidelity {self.fidelity!r}")
         if self.cfg is None:
-            self.cfg = high_fidelity_config() if self.fidelity == "high" else low_fidelity_config()
-        self._fn = get_solver(self.fidelity)
+            self.cfg = fidelity.config
+        self._fn = globals()[fidelity.solver]
 
     def __call__(self, geom: AirfoilGeometry) -> AeroResult:
         self.calls += 1

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled_airfoil_dir, __version__
-from .aero import CountingSolver, FlowConditions, SolverConfig
-from .aero import high_fidelity_config, low_fidelity_config
+from .aero import FIDELITIES, CountingSolver, FlowConditions, SolverConfig
 from .env import AirfoilEnv, EnvConfig
 from .errors import ConfigValueError, ContractViolation, EmptyEvalError, FoilRlError
 from .errors import ResetError, UsageError
@@ -52,9 +51,6 @@ from .ppo import PRESETS, PpoConfig, preset, train, trained_timesteps
 from .pso import PsoConfig, pso_optimize_airfoil
 from .transfer import TlStrategy, finetune, time_reduction, write_ledger_json
 
-_FIDELITY_CONFIGS = {"high": high_fidelity_config, "low": low_fidelity_config}
-
-
 _ENV_DEFAULTS = {f.name: f.default for f in fields(EnvConfig)}
 
 # Every default comes from the config dataclass that consumes it.
@@ -62,7 +58,7 @@ DEFAULT_CONFIG: dict = {
     "seed": 0,
     "env": {k: _ENV_DEFAULTS[k] for k in ("sigma", "fidelity", "episode_max_length")},
     "flow": asdict(FlowConditions()),
-    "solver": {fidelity: asdict(config()) for fidelity, config in _FIDELITY_CONFIGS.items()},
+    "solver": {name: asdict(fidelity.config) for name, fidelity in FIDELITIES.items()},
     "ppo": {"preset": "from-scratch", "total_timesteps": None, "n_envs": 1},
     "pso": asdict(PsoConfig()),
     "eval": {"dataset": None},
@@ -154,7 +150,7 @@ def _solver_config(cfg: dict, fidelity: str) -> SolverConfig:
     with _section(f"solver.{fidelity}."):
         section = _numbers(cfg["solver"][fidelity], defaults)
         # A float field takes a float, so a JSON 73 prices like 73.0.
-        return replace(_FIDELITY_CONFIGS[fidelity](),
+        return replace(FIDELITIES[fidelity].config,
                        **{k: float(v) if isinstance(defaults[k], float) else v
                           for k, v in section.items()})
 
@@ -289,7 +285,6 @@ def cmd_optimize(args) -> int:
 
     header = TRACE_COLUMNS + [f"p{i}" for i in range(params.vector.size)]
     write_csv(out / "trace.csv", header, rows)
-    best = max(rows, key=lambda row: row[3])  # by ratio; the first of equal bests wins
     write_json(out / "metrics.json", {
         "airfoil": Path(args.airfoil).stem,
         "fit_residual": residual,
@@ -297,7 +292,7 @@ def cmd_optimize(args) -> int:
         "best_ratio": record.best_ratio,
         "improvement": record.improvement,
         "episode_length": len(rows) - 1,
-        "best_params": best[len(TRACE_COLUMNS):],
+        "best_params": record.best_params.tolist(),
     })
     solver_s = record.wall_time_s - record.inference_s
     write_json(out / "timing.json", {"inference_s": record.inference_s,
@@ -501,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     svg.add_argument("--svg", action="store_true", help="also emit SVG plots")
 
     p = sub.add_parser("train", parents=[common, svg], help="train an agent")
-    p.add_argument("--solver", choices=["high", "low"])
+    p.add_argument("--solver", choices=sorted(FIDELITIES))
     p.add_argument("--sigma", type=_nonnegative_float, default=None)
     p.add_argument("--timesteps", type=_positive_int, default=None)
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)

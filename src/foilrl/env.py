@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import bundled_airfoil_dir
-from .aero import CountingSolver, FlowConditions, SolverConfig
+from .aero import FIDELITIES, CountingSolver, FlowConditions, SolverConfig
 from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
 from .errors import ResetError
 from .geometry import (
@@ -65,8 +65,9 @@ class EnvConfig:
             raise ConfigValueError("episode_max_length", "must be positive")
         if self.sigma < 0:
             raise ConfigValueError("sigma", "must be non-negative")
-        if self.fidelity not in ("high", "low"):
-            raise ConfigValueError("fidelity", f"must be 'high' or 'low', not {self.fidelity!r}")
+        if self.fidelity not in FIDELITIES:
+            raise ConfigValueError(
+                "fidelity", f"must be {' or '.join(map(repr, FIDELITIES))}, not {self.fidelity!r}")
 
     def config_hash(self) -> str:
         payload = {

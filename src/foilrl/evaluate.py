@@ -57,6 +57,7 @@ class EvalRecord:
     wall_time_s: float
     converged: bool
     inference_s: float = float("nan")  # policy forward passes, part of wall_time_s
+    best_params: np.ndarray | None = None  # the design at the best step
 
 
 @dataclass
@@ -107,12 +108,13 @@ def _roll_episode(
         obs = env.reset(params)
     except ResetError:
         initial_ratio = best_ratio = mt_initial = mt_at_best = inference_s = float("nan")
-        length, reason, converged = 0, "initial_solve_failed", False
+        length, reason, converged, best_params = 0, "initial_solve_failed", False, None
     else:
         initial_ratio = env.state.prev_term  # kappa = 1 for the high-fidelity solver
         mt_initial = env.state.mt0
         best_ratio = initial_ratio
         mt_at_best = mt_initial
+        best_params = env.state.params
         if on_step is not None:
             on_step(env.state, None)
         length, inference_s, converged = 0, 0.0, True
@@ -132,6 +134,7 @@ def _roll_episode(
                 if outcome.info["ratio"] > best_ratio:
                     best_ratio = outcome.info["ratio"]
                     mt_at_best = outcome.info["mt"]
+                    best_params = env.state.params
             if outcome.terminated:
                 reason = outcome.reason.value
                 break
@@ -151,6 +154,7 @@ def _roll_episode(
         wall_time_s=time.perf_counter() - start,
         converged=converged,
         inference_s=inference_s,
+        best_params=best_params,
     )
 
 

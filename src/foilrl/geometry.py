@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -157,25 +157,14 @@ class StationGrid:
     le_term: np.ndarray
 
 
-_STATION_GRIDS: dict[int, StationGrid] = {}
-
-
+@cache
 def station_grid(n: int) -> StationGrid:
     """The grid of `n` stations, built on first use and kept read-only."""
-    grid = _STATION_GRIDS.get(n)
-    if grid is None:
-        x = cosine_stations(n)
-        grid = StationGrid(x, _bernstein(x), _class_fn(x), _le_term(x))
-        for a in (grid.x, grid.basis, grid.class_fn, grid.le_term):
-            a.flags.writeable = False
-        _STATION_GRIDS[n] = grid
+    x = cosine_stations(n)
+    grid = StationGrid(x, _bernstein(x), _class_fn(x), _le_term(x))
+    for a in (grid.x, grid.basis, grid.class_fn, grid.le_term):
+        a.flags.writeable = False
     return grid
-
-
-def is_station_grid(x: np.ndarray) -> bool:
-    """True when `x` is the cached station vector of its size, so its id is stable."""
-    grid = _STATION_GRIDS.get(x.size)
-    return grid is not None and grid.x is x
 
 
 def _bernstein(x: np.ndarray) -> np.ndarray:

@@ -36,16 +36,10 @@ from .outputs import write_csv
 
 HIDDEN_SIZES = [256, 256]
 
-LOG_COLUMNS = [
-    "update",
-    "timesteps",
-    "mean_episode_reward",
-    "policy_loss",
-    "value_loss",
-    "entropy",
-    "clip_fraction",
-    "approx_kl",
-]
+# The per-update means that `ppo_update` returns, in the order it sums them.
+UPDATE_STATS = ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
+
+LOG_COLUMNS = ["update", "timesteps", "mean_episode_reward", *UPDATE_STATS]
 
 
 @dataclass(frozen=True)
@@ -268,10 +262,9 @@ def ppo_update(
     if freeze is None:
         freeze = FreezeMask.none(actor.net.n_layers, critic.n_layers)
     frozen_flags = freeze.tensor_flags(actor, critic)
-    n_actor_tensors = 2 * actor.net.n_layers + 1
 
     log_std_inside = (actor.log_std > LOG_STD_MIN) & (actor.log_std < LOG_STD_MAX)
-    stats = {k: 0.0 for k in ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")}
+    totals = np.zeros(len(UPDATE_STATS))
     n_batches = 0
 
     for _ in range(config.n_epochs):
@@ -323,14 +316,11 @@ def ppo_update(
             tensors = actor.tensors() + critic.tensors()
             adam_step(tensors, grads, adam, config.learning_rate, frozen_flags)
 
-            stats["policy_loss"] += float(policy_loss)
-            stats["value_loss"] += value_loss
-            stats["entropy"] += entropy
-            stats["clip_fraction"] += float((~use_unclipped).mean())
-            stats["approx_kl"] += float((lp_old - logp).mean())
+            totals += (policy_loss, value_loss, entropy,
+                       (~use_unclipped).mean(), (lp_old - logp).mean())
             n_batches += 1
 
-    return {k: v / n_batches for k, v in stats.items()}
+    return dict(zip(UPDATE_STATS, (totals / n_batches).tolist()))
 
 
 @dataclass
@@ -400,7 +390,7 @@ def train(
             "update": update,
             "timesteps": steps_done,
             "mean_episode_reward": mean_ep,
-            **{k: stats[k] for k in ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")},
+            **stats,
         }
         log_rows.append(row)
 

@@ -47,7 +47,7 @@ class PsoResult:
     best_params: np.ndarray
     best_fitness: float
     trace: list[float] = field(default_factory=list)  # gbest after each iteration
-    n_evaluations: int = 0
+    n_evaluations: int = 0  # every particle of every iteration, the seed swarm included
 
 
 def pso_maximize(
@@ -71,15 +71,8 @@ def pso_maximize(
         )
     velocities = rng.uniform(-1.0, 1.0, (config.swarm_size, dim)) * v_max
 
-    n_evals = 0
-
-    def evaluate(pos: np.ndarray) -> float:
-        nonlocal n_evals
-        n_evals += 1
-        return fitness(pos)
-
     pbest_pos = positions.copy()
-    pbest_fit = np.array([evaluate(p) for p in positions])
+    pbest_fit = np.array([fitness(p) for p in positions])
     if not np.isfinite(pbest_fit[0]):
         raise SeedError("seed design could not be evaluated")
     g = int(np.argmax(pbest_fit))
@@ -98,7 +91,7 @@ def pso_maximize(
         velocities = np.clip(velocities, -v_max, v_max)
         positions = bounds.clamp(positions + velocities)
         for i in range(config.swarm_size):
-            fit = evaluate(positions[i])
+            fit = fitness(positions[i])
             if fit > pbest_fit[i]:
                 pbest_fit[i] = fit
                 pbest_pos[i] = positions[i].copy()
@@ -107,7 +100,7 @@ def pso_maximize(
                     gbest_pos = positions[i].copy()
         trace.append(gbest_fit)
 
-    return PsoResult(gbest_pos, gbest_fit, trace, n_evals)
+    return PsoResult(gbest_pos, gbest_fit, trace, config.swarm_size * (config.max_iterations + 1))
 
 
 def make_aero_fitness(

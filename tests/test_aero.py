@@ -15,6 +15,7 @@ from foilrl.aero import (
     solve_low_fidelity,
     _flat_plate_cf,
     _gradient,
+    _surrogate_grid,
     _trapezoid,
 )
 from foilrl.env import RESET_POOL_NAMES
@@ -26,6 +27,7 @@ from foilrl.geometry import (
     default_bounds,
     fit_cst,
     max_thickness,
+    station_grid,
 )
 
 BOUNDS = default_bounds()
@@ -246,6 +248,21 @@ class TestSurrogateGridTerms:
             result = solve_low_fidelity(geom, FlowConditions())
             assert (result.cl, result.cd, result.confidence) == \
                 _reference_low_fidelity(geom, FlowConditions())
+
+    @pytest.mark.parametrize("n", [64, 81, 128])
+    def test_one_object_per_station_vector_and_the_same_bits_for_a_copy(self, n):
+        x = station_grid(n).x
+        cached = _surrogate_grid(x)
+        assert _surrogate_grid(station_grid(n).x) is cached
+        copy = _surrogate_grid(x.copy())
+        assert copy is not cached and copy is not _surrogate_grid(x.copy())
+
+        def bits(grid):
+            terms = [*grid.gradient, grid.widths, grid.theta_widths, grid.cos_theta_m1,
+                     grid.interior, grid.aft, grid.aft_denom]
+            return [np.asarray(t).tobytes() for t in terms]
+
+        assert bits(copy) == bits(cached)
 
 
 class TestLeanKernels:
