@@ -15,10 +15,10 @@ import ctypes
 import functools
 import json
 import math
-import os
 import resource
 import sys
 import time
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -44,7 +44,8 @@ from .evaluate import (
 )
 from .geometry import fit_cst, read_dat
 from .nets import AgentCheckpoint, AdamState, load_checkpoint, save_checkpoint
-from .nets import _agent_from_tensors, _named_tensors
+from .nets import RECORDED_FIELDS, _FileTensors, _agent_from_tensors, _check_header
+from .nets import _named_tensors
 from .outputs import write_csv, write_json
 from .plotting import write_svg_lines, write_svg_scatter
 from .ppo import PRESETS, PpoConfig, preset, train, trained_timesteps
@@ -136,11 +137,7 @@ def _numbers(section: dict, defaults: dict) -> dict:
 
 
 def _out_dir(args, command: str) -> Path:
-    if args.out:
-        out = Path(args.out)
-    else:
-        root = os.environ.get("FOILRL_OUT_ROOT", "runs")
-        out = Path(root) / command
+    out = Path(args.out) if args.out else Path("runs") / command
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -226,8 +223,8 @@ def cmd_finetune(args) -> int:
         raise UsageError(f"config ppo.preset must be 'finetune' for finetune, "
                          f"not {cfg['ppo']['preset']!r}")
     cfg["env"]["fidelity"] = "high"
-    out = _out_dir(args, "finetune")
     source = load_checkpoint(args.source)
+    out = _out_dir(args, "finetune")
     if args.low_cost_ms is not None:  # the source's recorded price, which no config key holds
         source.meta["nominal_cost_ms_per_call"] = _solver_config(cfg, "low").nominal_cost_ms
     env_config = _env_config(cfg)
@@ -262,8 +259,8 @@ TRACE_COLUMNS = ["step", "cl", "cd", "ratio", "mt", "kappa", "lambda"]
 def cmd_optimize(args) -> int:
     faults0 = _minor_faults()
     cfg = _load_config(args)
-    out = _out_dir(args, "optimize")
     ckpt = load_checkpoint(args.checkpoint)
+    out = _out_dir(args, "optimize")
     _, coords = read_dat(args.airfoil)
     params, residual = fit_cst(coords)
     cfg["env"].update(fidelity="high", sigma=ckpt.sigma)
@@ -309,8 +306,8 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     faults0 = _minor_faults()
     cfg = _load_config(args)
-    out = _out_dir(args, "evaluate")
     ckpt = load_checkpoint(args.checkpoint)
+    out = _out_dir(args, "evaluate")
     dataset_dir = cfg["eval"]["dataset"]
     if not (dataset_dir is None or isinstance(dataset_dir, str)):
         raise UsageError(f"config eval.dataset must be a string or null, not {dataset_dir!r}")
@@ -432,23 +429,26 @@ def cmd_export_weights(args) -> int:
         for name, tensor in _named_tensors(ckpt)
         if not name.startswith("adam.")
     }
-    meta = {
-        "train_steps": ckpt.train_steps,
-        "env_config_hash": ckpt.env_config_hash,
-        "sigma": ckpt.sigma,
-        "fidelity": ckpt.fidelity,
-    }
+    meta = {key: getattr(ckpt, key) for key in RECORDED_FIELDS}
     np.savez(args.out, meta=json.dumps(meta, sort_keys=True), **arrays)
     print(f"exported weights to {args.out}")
     return 0
 
 
 def cmd_import_weights(args) -> int:
-    data = np.load(args.weights, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    actor, critic = _agent_from_tensors(
-        {key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}
-    )
+    try:
+        data = np.load(args.weights, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # a text, empty or damaged file
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ContractViolation(f"{args.weights}: not an .npz file")
+    with data:
+        if "meta" not in data.files:
+            raise ContractViolation(f"{args.weights}: no meta entry")
+        meta = json.loads(str(data["meta"]))
+        _check_header(meta, RECORDED_FIELDS, args.weights)
+        actor, critic = _agent_from_tensors(_FileTensors(args.weights, {
+            key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}))
     ckpt = AgentCheckpoint(
         actor=actor,
         critic=critic,

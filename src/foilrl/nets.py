@@ -292,6 +292,28 @@ def _named_tensors(ckpt: AgentCheckpoint) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+# The AgentCheckpoint fields that a checkpoint header and an exported weights file record.
+RECORDED_FIELDS = ("train_steps", "env_config_hash", "sigma", "fidelity")
+
+
+def _check_header(header, keys: tuple[str, ...], path) -> None:
+    """A file's JSON header lacking one of `keys` is a ContractViolation naming the file."""
+    for key in keys:
+        if not (isinstance(header, dict) and key in header):
+            raise ContractViolation(f"{path}: header has no {key}")
+
+
+class _FileTensors(dict):
+    """Tensors read from `path`; looking up a name the file lacks is a ContractViolation."""
+
+    def __init__(self, path, tensors: dict[str, np.ndarray]):
+        super().__init__(tensors)
+        self.path = path
+
+    def __missing__(self, name: str):
+        raise ContractViolation(f"{self.path}: no tensor {name}")
+
+
 def _agent_from_tensors(tensors: dict[str, np.ndarray]) -> tuple[Policy, Mlp]:
     """Actor and critic from tensors named as by `_named_tensors`."""
 
@@ -338,6 +360,7 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         header = json.loads(raw[12 : 12 + hlen].decode())
     except ValueError:
         raise ContractViolation(f"{path}: checkpoint header is cut short or corrupt") from None
+    _check_header(header, ("format_version", "tensors", "adam_t", *RECORDED_FIELDS), path)
     if header["format_version"] != CHECKPOINT_VERSION:
         raise ContractViolation(f"unsupported checkpoint version {header['format_version']}")
     counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
@@ -345,7 +368,7 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
     if len(raw) != expected:
         raise ContractViolation(f"{path}: {len(raw)} bytes where the header implies {expected}")
     offset = 12 + hlen
-    tensors: dict[str, np.ndarray] = {}
+    tensors = _FileTensors(path, {})
     for entry, count in zip(header["tensors"], counts):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         tensors[entry["name"]] = arr.reshape(entry["shape"]).astype(float)
@@ -364,9 +387,6 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         actor=actor,
         critic=critic,
         adam=adam,
-        train_steps=header["train_steps"],
-        env_config_hash=header["env_config_hash"],
-        sigma=header["sigma"],
-        fidelity=header["fidelity"],
+        **{key: header[key] for key in RECORDED_FIELDS},
         meta=header.get("meta", {}),
     )

@@ -1,8 +1,9 @@
 """Global-best particle swarm baseline over the CST design space.
 
-Fitness is cl/cd from the configured solver; an optional hard constraint
-keeps the maximum thickness within a tolerance of the seed's value by
-rejecting infeasible designs outright. Every particle is priced: the
+Fitness is kappa * cl/cd from the configured solver, and shapes that
+`is_valid` rejects score -inf; an optional hard constraint keeps the
+maximum thickness within a tolerance of the seed's value by rejecting
+infeasible designs outright. Every particle is priced: the
 solver-call count is exactly swarm_size * (iterations + 1).
 """
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from .aero import CountingSolver, GeometryRejected
 from .errors import ConfigValueError, SeedError
-from .geometry import CstParams, ParamBounds, cst_to_geometry, default_bounds, max_thickness
+from .geometry import CstParams, ParamBounds, cst_to_geometry, default_bounds, is_valid
+from .geometry import max_thickness
 
 INITIAL_SPREAD = 0.25  # fraction of each parameter range around the seed
 
@@ -109,7 +111,10 @@ def make_aero_fitness(
     tolerance: float | None,
     geometry_stations: int = 128,
 ) -> Callable[[np.ndarray], float]:
-    """cl/cd fitness with infeasibility rejection; failures score -inf."""
+    """kappa * cl/cd fitness with infeasibility rejection; failures score -inf.
+
+    `is_valid` is checked after the solver call, so every design is one priced call.
+    """
 
     def fitness(vec: np.ndarray) -> float:
         geom = cst_to_geometry(vec, geometry_stations)
@@ -117,11 +122,11 @@ def make_aero_fitness(
             result = solver(geom)
         except GeometryRejected:
             return -np.inf
-        if not result.converged:
+        if not (result.converged and is_valid(geom)[0]):
             return -np.inf
         if tolerance is not None and abs(max_thickness(geom) - mt0) / mt0 > tolerance:
             return -np.inf
-        return result.cl / result.cd
+        return result.confidence * (result.cl / result.cd)
 
     return fitness
 

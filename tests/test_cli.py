@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -489,6 +490,80 @@ class TestCheckpointBytes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+def _rewrite_checkpoint(src: Path, dst: Path, edit) -> None:
+    """`src` with its header and tensor payload replaced by `edit(header, payload)`."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header, payload = edit(json.loads(raw[12:12 + hlen]), raw[12 + hlen:])
+    blob = json.dumps(header).encode()
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def _without_tensor(name: str):
+    def edit(header, payload):
+        entries = header["tensors"]
+        i = [e["name"] for e in entries].index(name)
+        start = 8 * sum(int(np.prod(e["shape"])) for e in entries[:i])
+        end = start + 8 * int(np.prod(entries[i]["shape"]))
+        return {**header, "tensors": entries[:i] + entries[i + 1:]}, payload[:start] + payload[end:]
+    return edit
+
+
+class TestBadCheckpointInputs:
+    """A checkpoint or weights file that lacks what loading reads: exit 1, one line, no output."""
+
+    @staticmethod
+    def _fails(argv, bad, out, capsys):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def _optimize_fails(self, edit, trained, dat_file, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained / "checkpoint.ckpt", bad, edit)
+        self._fails(["optimize", "--checkpoint", str(bad), "--airfoil", dat_file],
+                    bad, tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("key", ["format_version", "tensors", "adam_t", "sigma"])
+    def test_checkpoint_header_without_a_key(self, key, trained, dat_file, tmp_path, capsys):
+        edit = lambda header, payload: ({k: v for k, v in header.items() if k != key}, payload)
+        self._optimize_fails(edit, trained, dat_file, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name", ["actor.b0", "adam.v3"])
+    def test_checkpoint_without_a_tensor(self, name, trained, dat_file, tmp_path, capsys):
+        self._optimize_fails(_without_tensor(name), trained, dat_file, tmp_path, capsys)
+
+    @pytest.fixture
+    def weights(self, trained, tmp_path):
+        npz = tmp_path / "w.npz"
+        assert main(["export-weights", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                     "--out", str(npz)]) == 0
+        return dict(np.load(npz))
+
+    def _import_fails(self, bad, tmp_path, capsys):
+        self._fails(["import-weights", "--weights", str(bad)], bad, tmp_path / "out.ckpt", capsys)
+
+    @pytest.mark.parametrize("content", [b"not weights\n", b"", b"PK\x03\x04damaged"])
+    def test_weights_file_that_is_not_an_npz(self, content, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(content)
+        self._import_fails(bad, tmp_path, capsys)
+
+    @pytest.mark.parametrize("drop", ["meta", "actor_b0"])
+    def test_weights_without_an_entry(self, drop, weights, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{k: v for k, v in weights.items() if k != drop})
+        self._import_fails(bad, tmp_path, capsys)
+
+    def test_weights_meta_without_a_key(self, weights, tmp_path, capsys):
+        meta = json.loads(str(weights["meta"]))
+        del meta["train_steps"]
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**weights, "meta": json.dumps(meta)})
+        self._import_fails(bad, tmp_path, capsys)
 
 
 class TestTimingJson:

@@ -4,7 +4,7 @@ import pytest
 from foilrl import naca
 from foilrl.aero import CountingSolver, high_fidelity_config
 from foilrl.errors import SeedError
-from foilrl.geometry import cst_to_geometry, default_bounds, fit_cst, max_thickness
+from foilrl.geometry import cst_to_geometry, default_bounds, fit_cst, is_valid, max_thickness
 from foilrl.pso import PsoConfig, pso_maximize, pso_optimize_airfoil
 
 BOUNDS = default_bounds()
@@ -93,3 +93,16 @@ class TestAirfoilWrapper:
         mt0 = max_thickness(cst_to_geometry(seed_params, 200))
         mt = max_thickness(cst_to_geometry(result.best_params, 200))
         assert abs(mt - mt0) / mt0 <= 0.01 + 1e-9
+
+
+class TestSurrogateSwarm:
+    @pytest.mark.parametrize("code", ["0012", "2412", "4415"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_best_is_a_valid_shape(self, code, seed):
+        params, _ = fit_cst(naca.coordinates(code, 101), BOUNDS)
+        solver = CountingSolver("low")
+        cfg = PsoConfig(swarm_size=12, max_iterations=30)
+        result = pso_optimize_airfoil(params, solver, cfg, np.random.default_rng(seed))
+        geom = cst_to_geometry(result.best_params, solver.cfg.geometry_stations)
+        assert is_valid(geom) == (True, "ok")
+        assert solver.calls == result.n_evaluations
