@@ -2,10 +2,12 @@
 
 A trained policy is rolled for one full episode per dataset airfoil,
 starting from that airfoil's fitted design vector. Metrics are always
-computed with the high-fidelity solver so agents are compared fairly:
-`best` is the highest cl/cd seen in the episode (step 0 included),
-`improvement` is best minus the initial ratio, and the thickness
-deviation is taken at the step where `best` occurred.
+computed with the high-fidelity solver so agents are compared fairly.
+The best step (step 0 included) is the one with the highest value of the
+objective the agent was trained on, lambda * kappa * cl/cd, the first of
+equal ones; kappa is 1 on this solver, and lambda is 1 at sigma 0. `best`
+is the raw cl/cd at that step, `improvement` is best minus the initial
+ratio, and the thickness deviation and the design are taken there too.
 """
 from __future__ import annotations
 
@@ -112,7 +114,7 @@ def _roll_episode(
     else:
         initial_ratio = env.state.prev_term  # kappa = 1 for the high-fidelity solver
         mt_initial = env.state.mt0
-        best_ratio = initial_ratio
+        best_objective = best_ratio = initial_ratio
         mt_at_best = mt_initial
         best_params = env.state.params
         if on_step is not None:
@@ -131,7 +133,8 @@ def _roll_episode(
             if "ratio" in outcome.info:
                 if on_step is not None:
                     on_step(env.state, outcome.info)
-                if outcome.info["ratio"] > best_ratio:
+                if env.state.prev_term > best_objective:  # this step's lambda * kappa * cl/cd
+                    best_objective = env.state.prev_term
                     best_ratio = outcome.info["ratio"]
                     mt_at_best = outcome.info["mt"]
                     best_params = env.state.params

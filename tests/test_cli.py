@@ -761,6 +761,20 @@ class TestResolvedConfigRepeatsTheRun:
         assert cfg["env"]["fidelity"] == "high" and cfg["env"]["sigma"] == 15.0
 
 
+class TestBestStepIsTheObjectiveBest:
+    def test_optimize_reports_the_row_that_maximises_the_objective(self, sigma15, dat_file,
+                                                                   tmp_path, fast_config):
+        out = tmp_path / "opt"
+        assert main(["optimize", "--checkpoint", sigma15, "--airfoil", dat_file,
+                     "--config", fast_config, "--out", str(out)]) == 0
+        trace = list(csv.DictReader((out / "trace.csv").open()))
+        objective = [float(r["lambda"]) * float(r["kappa"]) * float(r["ratio"]) for r in trace]
+        best = trace[int(np.argmax(objective))]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert f"{metrics['best_ratio']:.10g}" == best["ratio"]
+        assert [f"{p:.10g}" for p in metrics["best_params"]] == [best[f"p{i}"] for i in range(18)]
+
+
 class TestFinetunePresetInConfig:
     @pytest.mark.parametrize("name", ["pretrain", "from-scratch", 5])
     def test_other_preset_is_one_line_usage_error(self, name, trained, tmp_path, capsys):
