@@ -18,7 +18,6 @@ import math
 import resource
 import sys
 import time
-import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 from . import bundled_airfoil_dir, __version__
 from .aero import FIDELITIES, CountingSolver, FlowConditions, SolverConfig
 from .env import AirfoilEnv, EnvConfig
-from .errors import ConfigValueError, ContractViolation, EmptyEvalError, FoilRlError
+from .errors import ConfigValueError, EmptyEvalError, FoilRlError
 from .errors import ResetError, UsageError
 from .evaluate import (
     _roll_episode,
@@ -37,15 +36,14 @@ from .evaluate import (
     load_dataset,
     pareto_front,
     read_records_csv,
+    read_sweep_point,
     write_comparison_csv,
     write_pareto_csv,
     write_records_csv,
     write_summary_json,
 )
 from .geometry import fit_cst, read_dat
-from .nets import AgentCheckpoint, AdamState, load_checkpoint, save_checkpoint
-from .nets import RECORDED_FIELDS, _FileTensors, _agent_from_tensors, _check_header
-from .nets import _named_tensors
+from .nets import export_weights, import_weights, load_checkpoint, save_checkpoint
 from .outputs import write_csv, write_json
 from .plotting import write_svg_lines, write_svg_scatter
 from .ppo import PRESETS, PpoConfig, preset, train, trained_timesteps
@@ -393,15 +391,7 @@ def cmd_compare(args) -> int:
     write_comparison_csv(out / "comparison.csv", rows)
     write_json(out / "comparison_summary.json", aggregate)
     if args.sweep:
-        points = []
-        for path in args.sweep:
-            payload = json.loads(Path(path).read_text())
-            for key in ("sigma", "delta_mt_mean", "best_median"):
-                if not (isinstance(payload, dict) and key in payload):
-                    raise ContractViolation(f"{path}: missing key {key}")
-            points.append({"sigma": payload["sigma"], "delta_mt": payload["delta_mt_mean"],
-                           "best": payload["best_median"]})
-        flagged = pareto_front(points)
+        flagged = pareto_front([read_sweep_point(path) for path in args.sweep])
         write_pareto_csv(out / "pareto.csv", flagged)
         if args.svg:
             groups = {}
@@ -423,42 +413,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export_weights(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    arrays = {
-        name.replace(".", "_"): tensor
-        for name, tensor in _named_tensors(ckpt)
-        if not name.startswith("adam.")
-    }
-    meta = {key: getattr(ckpt, key) for key in RECORDED_FIELDS}
-    np.savez(args.out, meta=json.dumps(meta, sort_keys=True), **arrays)
+    export_weights(load_checkpoint(args.checkpoint), args.out)
     print(f"exported weights to {args.out}")
     return 0
 
 
 def cmd_import_weights(args) -> int:
-    try:
-        data = np.load(args.weights, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):  # a text, empty or damaged file
-        data = None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ContractViolation(f"{args.weights}: not an .npz file")
-    with data:
-        if "meta" not in data.files:
-            raise ContractViolation(f"{args.weights}: no meta entry")
-        meta = json.loads(str(data["meta"]))
-        _check_header(meta, RECORDED_FIELDS, args.weights)
-        actor, critic = _agent_from_tensors(_FileTensors(args.weights, {
-            key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}))
-    ckpt = AgentCheckpoint(
-        actor=actor,
-        critic=critic,
-        adam=AdamState.for_tensors(actor.tensors() + critic.tensors()),
-        train_steps=int(meta["train_steps"]),
-        env_config_hash=meta["env_config_hash"],
-        sigma=float(meta["sigma"]),
-        fidelity=meta["fidelity"],
-    )
-    save_checkpoint(args.out, ckpt)
+    save_checkpoint(args.out, import_weights(args.weights))
     print(f"imported weights into {args.out}")
     return 0
 

@@ -12,6 +12,7 @@ ratio, and the thickness deviation and the design are taken there too.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import time
 from dataclasses import asdict, dataclass
@@ -230,6 +231,17 @@ def write_summary_json(path: str | Path, summary: EvalSummary, extra: dict | Non
     if extra:
         payload.update(extra)
     write_json(path, payload)
+
+
+def read_sweep_point(path: str | Path) -> dict:
+    """One sigma-sweep point, {sigma, delta_mt, best}, from a `write_summary_json` file."""
+    payload = json.loads(Path(path).read_text())
+    point = {}
+    for key, name in (("sigma", "sigma"), ("delta_mt_mean", "delta_mt"), ("best_median", "best")):
+        if not (isinstance(payload, dict) and key in payload):
+            raise ContractViolation(f"{path}: missing key {key}")
+        point[name] = payload[key]
+    return point
 
 
 def compare_report(

@@ -2,14 +2,17 @@
 
 Everything the training loop needs and nothing more: tanh MLPs, a
 diagonal-Gaussian policy head with a state-independent log-std vector,
-Adam with per-layer freeze masks, and a versioned binary checkpoint
-format with a JSON header and fixed little-endian float64 payload.
+Adam with per-layer freeze masks, and the two agent files: a versioned
+binary checkpoint with a JSON header and fixed little-endian float64
+payload, and an `.npz` of the network weights. This module alone reads
+and writes both, and checks every header field it reads.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -303,6 +306,12 @@ def _check_header(header, keys: tuple[str, ...], path) -> None:
             raise ContractViolation(f"{path}: header has no {key}")
 
 
+def _recorded(header, path) -> dict:
+    """The `RECORDED_FIELDS` of a checkpoint header or a weights file's meta."""
+    _check_header(header, RECORDED_FIELDS, path)
+    return {key: header[key] for key in RECORDED_FIELDS}
+
+
 class _FileTensors(dict):
     """Tensors read from `path`; looking up a name the file lacks is a ContractViolation."""
 
@@ -360,7 +369,8 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         header = json.loads(raw[12 : 12 + hlen].decode())
     except ValueError:
         raise ContractViolation(f"{path}: checkpoint header is cut short or corrupt") from None
-    _check_header(header, ("format_version", "tensors", "adam_t", *RECORDED_FIELDS), path)
+    _check_header(header, ("format_version", "tensors", "adam_t"), path)
+    recorded = _recorded(header, path)
     if header["format_version"] != CHECKPOINT_VERSION:
         raise ContractViolation(f"unsupported checkpoint version {header['format_version']}")
     counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
@@ -383,10 +393,31 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
             v=[tensors[f"adam.v{k}"] for k in range(n_tensors)],
             t=header["adam_t"],
         )
-    return AgentCheckpoint(
-        actor=actor,
-        critic=critic,
-        adam=adam,
-        **{key: header[key] for key in RECORDED_FIELDS},
-        meta=header.get("meta", {}),
-    )
+    return AgentCheckpoint(actor, critic, adam, **recorded, meta=header.get("meta", {}))
+
+
+def export_weights(ckpt: AgentCheckpoint, path: str | Path) -> None:
+    """The network tensors and the recorded fields, without the Adam moments, as an `.npz`."""
+    arrays = {name.replace(".", "_"): tensor for name, tensor in _named_tensors(ckpt)
+              if not name.startswith("adam.")}
+    meta = {key: getattr(ckpt, key) for key in RECORDED_FIELDS}
+    np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
+
+
+def import_weights(path: str | Path) -> AgentCheckpoint:
+    """A checkpoint with fresh Adam moments from an `.npz` that `export_weights` wrote."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # a text, empty or damaged file
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ContractViolation(f"{path}: not an .npz file")
+    with data:
+        if "meta" not in data.files:
+            raise ContractViolation(f"{path}: no meta entry")
+        meta = json.loads(str(data["meta"]))
+        recorded = _recorded(meta, path)
+        actor, critic = _agent_from_tensors(_FileTensors(path, {
+            key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}))
+    adam = AdamState.for_tensors(actor.tensors() + critic.tensors())
+    return AgentCheckpoint(actor, critic, adam, **recorded)
