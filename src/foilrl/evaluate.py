@@ -235,12 +235,18 @@ def write_summary_json(path: str | Path, summary: EvalSummary, extra: dict | Non
 
 def read_sweep_point(path: str | Path) -> dict:
     """One sigma-sweep point, {sigma, delta_mt, best}, from a `write_summary_json` file."""
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not text, or not JSON
+        raise ContractViolation(f"{path}: not a JSON file: {exc}") from None
     point = {}
     for key, name in (("sigma", "sigma"), ("delta_mt_mean", "delta_mt"), ("best_median", "best")):
         if not (isinstance(payload, dict) and key in payload):
             raise ContractViolation(f"{path}: missing key {key}")
-        point[name] = payload[key]
+        value = payload[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ContractViolation(f"{path}: {key} must be a number, not {value!r}")
+        point[name] = value
     return point
 
 

@@ -295,21 +295,48 @@ def _named_tensors(ckpt: AgentCheckpoint) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_tensor_table(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(e, dict) and isinstance(e.get("name"), str)
+        and isinstance(e.get("shape"), list) and all(map(_is_count, e["shape"]))
+        for e in value)
+
+
+# What a checkpoint header holds besides the recorded fields: key -> (check, what it must be).
+_LAYOUT = {
+    "format_version": (lambda v: _is_count(v) and v == CHECKPOINT_VERSION, str(CHECKPOINT_VERSION)),
+    "tensors": (_is_tensor_table, "a list of {name: string, shape: [integer >= 0]}"),
+    "adam_t": (lambda v: v is None or _is_count(v), "null or an integer >= 0"),
+}
+
 # The AgentCheckpoint fields that a checkpoint header and an exported weights file record.
-RECORDED_FIELDS = ("train_steps", "env_config_hash", "sigma", "fidelity")
+_RECORDED = {
+    "train_steps": (_is_count, "an integer >= 0"),
+    "env_config_hash": (lambda v: isinstance(v, str), "a string"),
+    "sigma": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and 0 <= v < math.inf, "a finite number >= 0"),
+    "fidelity": (lambda v: isinstance(v, str), "a string"),
+}
+RECORDED_FIELDS = tuple(_RECORDED)
 
 
-def _check_header(header, keys: tuple[str, ...], path) -> None:
-    """A file's JSON header lacking one of `keys` is a ContractViolation naming the file."""
-    for key in keys:
+def _checked(header, rules: dict, path) -> dict:
+    """The `rules` keys of a JSON header; a missing or bad one is a ContractViolation."""
+    for key, (valid, kind) in rules.items():
         if not (isinstance(header, dict) and key in header):
             raise ContractViolation(f"{path}: header has no {key}")
+        if not valid(header[key]):
+            raise ContractViolation(f"{path}: header {key} must be {kind}, not {header[key]!r}")
+    return {key: header[key] for key in rules}
 
 
 def _recorded(header, path) -> dict:
-    """The `RECORDED_FIELDS` of a checkpoint header or a weights file's meta."""
-    _check_header(header, RECORDED_FIELDS, path)
-    return {key: header[key] for key in RECORDED_FIELDS}
+    """The `RECORDED_FIELDS` of a checkpoint header or a weights file's meta, checked."""
+    return _checked(header, _RECORDED, path)
 
 
 class _FileTensors(dict):
@@ -369,10 +396,8 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         header = json.loads(raw[12 : 12 + hlen].decode())
     except ValueError:
         raise ContractViolation(f"{path}: checkpoint header is cut short or corrupt") from None
-    _check_header(header, ("format_version", "tensors", "adam_t"), path)
+    _checked(header, _LAYOUT, path)
     recorded = _recorded(header, path)
-    if header["format_version"] != CHECKPOINT_VERSION:
-        raise ContractViolation(f"unsupported checkpoint version {header['format_version']}")
     counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
     expected = 12 + hlen + 8 * sum(counts)
     if len(raw) != expected:
@@ -415,7 +440,10 @@ def import_weights(path: str | Path) -> AgentCheckpoint:
     with data:
         if "meta" not in data.files:
             raise ContractViolation(f"{path}: no meta entry")
-        meta = json.loads(str(data["meta"]))
+        try:
+            meta = json.loads(str(data["meta"]))
+        except ValueError:
+            raise ContractViolation(f"{path}: meta is not a JSON string") from None
         recorded = _recorded(meta, path)
         actor, critic = _agent_from_tensors(_FileTensors(path, {
             key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}))

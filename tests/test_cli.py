@@ -566,6 +566,102 @@ class TestBadCheckpointInputs:
         self._import_fails(bad, tmp_path, capsys)
 
 
+def _with_header(key: str, value):
+    """A `_rewrite_checkpoint` edit that sets `key`, to `value(old)` when `value` is callable."""
+    def edit(header, payload):
+        return {**header, key: value(header[key]) if callable(value) else value}, payload
+    return edit
+
+
+def _first_tensor(entry):
+    return lambda table: [entry(table[0])] + table[1:]
+
+
+class TestMalformedFileContent:
+    """A present key of the wrong kind in an agent or sweep file: exit 1, one line naming the
+    file and the key; the agent-file cases write no output."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("optimize", "sigma", "abc"),
+        ("evaluate", "sigma", "abc"),
+        ("optimize", "sigma", -1.0),
+        ("optimize", "sigma", float("nan")),
+        ("optimize", "sigma", float("inf")),
+        ("optimize", "sigma", True),
+        ("optimize", "train_steps", "2048"),
+        ("optimize", "train_steps", 2048.5),
+        ("optimize", "env_config_hash", 12),
+        ("optimize", "fidelity", None),
+        ("optimize", "adam_t", "8"),
+        ("optimize", "adam_t", 8.5),
+        ("optimize", "format_version", 2),
+        ("evaluate", "tensors", "actor.w0"),
+        ("optimize", "tensors", _first_tensor(lambda e: {"name": e["name"]})),
+        ("optimize", "tensors", _first_tensor(lambda e: {**e, "shape": [-18, -256]})),
+        ("optimize", "tensors", _first_tensor(lambda e: {**e, "shape": [18.0, 256]})),
+        ("optimize", "tensors", _first_tensor(lambda e: {**e, "name": 7})),
+        ("optimize", "tensors", _first_tensor(lambda e: [e["name"], e["shape"]])),
+    ])
+    def test_checkpoint_header_value(self, command, key, value, trained, dat_file, tmp_path,
+                                     capsys):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained / "checkpoint.ckpt", bad, _with_header(key, value))
+        argv = [command, "--checkpoint", str(bad)]
+        argv += ["--airfoil", dat_file] if command == "optimize" else []
+        self._fails_naming(argv, bad, key, tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma", "abc"), ("sigma", -0.5), ("train_steps", "2048"), ("env_config_hash", 3),
+    ])
+    def test_weights_meta_value(self, key, value, trained, tmp_path, capsys):
+        npz = tmp_path / "w.npz"
+        assert main(["export-weights", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                     "--out", str(npz)]) == 0
+        weights = dict(np.load(npz))
+        meta = json.loads(str(weights["meta"]))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**weights, "meta": json.dumps({**meta, key: value})})
+        capsys.readouterr()
+        self._fails_naming(["import-weights", "--weights", str(bad)], bad, key,
+                           tmp_path / "out.ckpt", capsys)
+
+    def test_weights_meta_that_is_not_json(self, trained, tmp_path, capsys):
+        npz = tmp_path / "w.npz"
+        assert main(["export-weights", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                     "--out", str(npz)]) == 0
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**dict(np.load(npz)), "meta": "{sigma"})
+        capsys.readouterr()
+        self._fails_naming(["import-weights", "--weights", str(bad)], bad, "meta",
+                           tmp_path / "out.ckpt", capsys)
+
+    @pytest.mark.parametrize("content, key", [
+        ({"sigma": 15, "delta_mt_mean": "abc", "best_median": 180.0}, "delta_mt_mean"),
+        ({"sigma": 15, "delta_mt_mean": 12.0, "best_median": None}, "best_median"),
+        ({"sigma": [15], "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
+        ({"sigma": True, "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
+        (b"{not json", "JSON"),
+        (b"\xff\xfe\x00", "JSON"),
+    ])
+    def test_sweep_value(self, content, key, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        write_records_csv(records, [EvalRecord("naca0012", 50.0, 80.0, 30.0, 0.12, 0.12, 0.0,
+                                               3, "max_steps", 0.2, 0.1, True)])
+        sweep = tmp_path / "summary.json"
+        sweep.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+        assert main(["compare", "--drl", str(records), "--pso", str(records),
+                     "--sweep", str(sweep), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep}: ") and err.count("\n") == 1 and key in err
+
+    @staticmethod
+    def _fails_naming(argv, bad, key, out, capsys):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+
 class TestTimingJson:
     def test_commands_report_minor_page_faults(self, trained, dat_file, tmp_path, fast_config):
         ckpt = str(trained / "checkpoint.ckpt")
