@@ -85,7 +85,8 @@ class Mlp:
         return out
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        """A copy that keeps each weight's memory layout, and so its source's bits."""
+        return Mlp([w.copy(order="K") for w in self.weights], [b.copy() for b in self.biases])
 
 
 def mlp_init(sizes: list[int], rng: np.random.Generator, out_gain: float = 1.0) -> Mlp:

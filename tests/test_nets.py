@@ -93,12 +93,23 @@ class TestForward:
         for m in (net, copied, Mlp([w], [np.zeros(256)]), Mlp([w.T], [np.zeros(256)])):
             assert all(w.ctypes.data % 64 == 0 for w in m.weights)
         # The layout picks the BLAS kernel, hence the rounding: an init keeps
-        # the transposed (Fortran) first layer, and a copy is C-ordered.
+        # the transposed (Fortran) first layer, and so does a copy.
         assert net.weights[0].flags.f_contiguous and not net.weights[0].flags.c_contiguous
         assert Mlp([w.T], [np.zeros(256)]).weights[0].flags.f_contiguous
-        assert all(w.flags.c_contiguous for w in copied.weights)
+        assert [w.flags.f_contiguous for w in copied.weights] == [
+            w.flags.f_contiguous for w in net.weights]
         copied.weights[0] += 1.0
         assert not np.array_equal(copied.weights[0], net.weights[0])
+
+
+class TestCopy:
+    def test_copy_gives_its_source_bits_at_batch_1(self):
+        rng = np.random.default_rng(3)
+        actor, critic = policy_init([18, 256, 256, 18], rng), mlp_init([18, 256, 256, 1], rng)
+        actor_copy, critic_copy = actor.copy(), critic.copy()
+        for obs in rng.standard_normal((500, 1, 18)):
+            np.testing.assert_array_equal(actor_copy.mean(obs), actor.mean(obs))
+            np.testing.assert_array_equal(forward(critic_copy, obs), forward(critic, obs))
 
 
 class TestBackward:
