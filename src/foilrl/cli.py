@@ -102,6 +102,8 @@ def _load_config(args, defaults: dict = DEFAULT_CONFIG) -> dict:
             functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
     with _section(""):
         _numbers({"seed": cfg["seed"]}, DEFAULT_CONFIG)
+        if cfg["seed"] < 0:  # numpy seeds no generator from a negative integer
+            raise ConfigValueError("seed", f"must be non-negative, not {cfg['seed']}")
     return cfg
 
 
@@ -180,6 +182,11 @@ def _ppo_config(cfg: dict) -> PpoConfig:
         if overrides.get("total_timesteps", 1) < 1:
             raise ConfigValueError("total_timesteps", "must be a positive integer")
         return preset(preset_name, **overrides)
+
+
+def _pso_config(cfg: dict) -> PsoConfig:
+    with _section("pso."):
+        return PsoConfig(**_numbers(cfg["pso"], DEFAULT_CONFIG["pso"]))
 
 
 def cmd_train(args) -> int:
@@ -353,8 +360,7 @@ def cmd_pso(args) -> int:
     faults0 = _minor_faults()
     cfg = _load_config(args)
     solver = CountingSolver("high", _flow(cfg), _solver_config(cfg, "high"))
-    with _section("pso."):
-        pso_config = PsoConfig(**_numbers(cfg["pso"], DEFAULT_CONFIG["pso"]))
+    pso_config = _pso_config(cfg)
     out = _out_dir(args, "pso")
     _, coords = read_dat(args.airfoil)
     params, _ = fit_cst(coords)

@@ -65,7 +65,7 @@ class EnvConfig:
             raise ConfigValueError("episode_max_length", "must be positive")
         if self.sigma < 0:
             raise ConfigValueError("sigma", "must be non-negative")
-        if self.fidelity not in FIDELITIES:
+        if not (isinstance(self.fidelity, str) and self.fidelity in FIDELITIES):
             raise ConfigValueError(
                 "fidelity", f"must be {' or '.join(map(repr, FIDELITIES))}, not {self.fidelity!r}")
 

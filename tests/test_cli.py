@@ -10,10 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foilrl
 from foilrl import bundled_airfoil_dir, cli, naca
 from foilrl.cli import main
+from foilrl.errors import UsageError
 from foilrl.evaluate import EvalRecord, write_records_csv
 from foilrl.nets import AgentCheckpoint, forward, load_checkpoint, mlp_init, policy_init
 from foilrl.nets import save_checkpoint
@@ -938,3 +941,63 @@ class TestCompareChecksItsInputs:
         sweep.write_text(json.dumps(payload))
         self._assert_runtime_error(["compare", "--drl", str(records), "--pso", str(records),
                                     "--sweep", str(sweep)], sweep, key, tmp_path, capsys)
+
+
+# Every JSON kind, plus the strings that some keys accept.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["high", "low", *cli.PRESETS]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+def _config_objects(defaults: dict):
+    """JSON objects over some of `defaults`' keys; a section may also get any JSON value."""
+    return st.fixed_dictionaries({}, optional={
+        key: (_config_objects(default) | _JSON_VALUES) if isinstance(default, dict)
+        else _JSON_VALUES
+        for key, default in defaults.items()})
+
+
+class TestConfigProperty:
+    """Any --config object either resolves through every section builder or is a UsageError.
+
+    Only the builders run: a drawn panel count or budget may be huge.
+    """
+
+    @pytest.fixture(scope="class")
+    def cfg_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("drawn") / "config.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_config_objects(cli.DEFAULT_CONFIG), finetune=st.booleans())
+    def test_resolves_or_is_usage_error(self, payload, finetune, cfg_path):
+        cfg_path.write_text(json.dumps(payload))
+        defaults = cli._FINETUNE_DEFAULTS if finetune else cli.DEFAULT_CONFIG
+        try:
+            cfg = cli._load_config(SimpleNamespace(config=str(cfg_path)), defaults)
+        except UsageError:
+            return
+        np.random.default_rng(cfg["seed"])  # what every command seeds
+        for build in (cli._env_config, cli._ppo_config, cli._flow, cli._pso_config,
+                      lambda c: cli._solver_config(c, "high"),
+                      lambda c: cli._solver_config(c, "low")):
+            try:
+                build(cfg)
+            except UsageError:
+                pass
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"env": {"fidelity": []}}, "env.fidelity"),
+        ({"env": {"fidelity": {"high": 1}}}, "env.fidelity"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_unusable_value_is_one_line_usage_error(self, payload, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key} ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
