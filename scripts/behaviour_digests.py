@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """SHA-256 of every CLI output on a small fixed workload.
 
-Runs 14 commands of the `foilrl` CLI from this checkout's `src/` on a
+Runs 15 commands of the `foilrl` CLI from this checkout's `src/` on a
 96/128-panel config with fixed seeds: train x2, finetune x2, optimize x3,
-evaluate x2, pso x2, compare --sweep --svg, export-weights and
-import-weights. The commands run from inside --out and name their
+evaluate x2, pso x2, compare --sweep --svg, export-weights,
+import-weights, and evaluate again on the checkpoint that import-weights
+rebuilt, so an export/import round trip that changes any result shows as
+a digest change. The commands run from inside --out and name their
 inputs and outputs by relative paths, so a file that records a path
 (such as `evaluate`'s `eval.dataset`) reads the same whatever --out is.
 It prints one `<digest>  <path>` line per output file, with paths
@@ -76,6 +78,8 @@ def commands() -> list[list[str]]:
         ["export-weights", "--checkpoint", "train_low/checkpoint.ckpt",
          "--out", "weights/weights.npz"],
         ["import-weights", "--weights", "weights/weights.npz", "--out", "weights/rebuilt.ckpt"],
+        ["evaluate", "--checkpoint", "weights/rebuilt.ckpt", "--dataset", "dataset",
+         "--seed", "1", "--out", "evaluate_rebuilt"],
     ]
 
 
