@@ -5,7 +5,7 @@ diagonal-Gaussian policy head with a state-independent log-std vector,
 Adam with per-layer freeze masks, and the two agent files: a versioned
 binary checkpoint with a JSON header and fixed little-endian float64
 payload, and an `.npz` of the network weights. This module alone reads
-and writes both, and checks every header field it reads.
+and writes both.
 """
 from __future__ import annotations
 
@@ -322,7 +322,6 @@ _RECORDED = {
               and 0 <= v < math.inf, "a finite number >= 0"),
     "fidelity": (lambda v: isinstance(v, str), "a string"),
 }
-RECORDED_FIELDS = tuple(_RECORDED)
 
 
 def _checked(header, rules: dict, path) -> dict:
@@ -336,7 +335,7 @@ def _checked(header, rules: dict, path) -> dict:
 
 
 def _recorded(header, path) -> dict:
-    """The `RECORDED_FIELDS` of a checkpoint header or a weights file's meta, checked."""
+    """The `_RECORDED` fields of a checkpoint header or a weights file's meta, checked."""
     return _checked(header, _RECORDED, path)
 
 
@@ -426,7 +425,7 @@ def export_weights(ckpt: AgentCheckpoint, path: str | Path) -> None:
     """The network tensors and the recorded fields, without the Adam moments, as an `.npz`."""
     arrays = {name.replace(".", "_"): tensor for name, tensor in _named_tensors(ckpt)
               if not name.startswith("adam.")}
-    meta = {key: getattr(ckpt, key) for key in RECORDED_FIELDS}
+    meta = {key: getattr(ckpt, key) for key in _RECORDED}
     np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 
