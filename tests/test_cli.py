@@ -624,17 +624,6 @@ class TestBadCheckpointInputs:
         self._import_fails(bad, tmp_path, capsys, "meta")
 
 
-def _with_header(key: str, value):
-    """A `_rewrite_checkpoint` edit that sets `key`, to `value(old)` when `value` is callable."""
-    def edit(header, payload):
-        return {**header, key: value(header[key]) if callable(value) else value}, payload
-    return edit
-
-
-def _first_tensor(entry):
-    return lambda table: [entry(table[0])] + table[1:]
-
-
 class TestTimingJson:
     def test_commands_report_minor_page_faults(self, trained, dat_file, tmp_path, fast_config):
         ckpt = str(trained / "checkpoint.ckpt")
