@@ -214,16 +214,8 @@ def _circulation_cl(gamma: np.ndarray, s: np.ndarray) -> float:
     return float(4.0 * np.pi * np.sum(0.5 * (gamma[:-1] + gamma[1:]) * s))
 
 
-def _head_h1(h: np.ndarray | float):
-    h = np.asarray(h, dtype=float)
-    return np.where(
-        h <= 1.6,
-        3.3 + 0.8234 * np.maximum(h - 1.1, 1e-3) ** -1.287,
-        3.3 + 1.5501 * np.maximum(h - 0.6778, 1e-3) ** -3.064,
-    )
-
-
-_BL_H1_INIT = float(_head_h1(_BL_H_INIT))
+# Head's H1(H) at the initial shape factor, on its H <= 1.6 branch.
+_BL_H1_INIT = 3.3 + 0.8234 * max(_BL_H_INIT - 1.1, 1e-3) ** -1.287
 
 
 def _head_h_from_h1(h1: float) -> float:
@@ -538,6 +530,11 @@ def solve_low_fidelity(
     return AeroResult(float(cl), float(cd), kappa, True)
 
 
+def nominal_cost_s(calls: int, ms_per_call: float) -> float:
+    """The one pricing rule: `calls` solver calls at `ms_per_call` nominal ms each, in seconds."""
+    return calls * ms_per_call / 1000.0
+
+
 @dataclass
 class CountingSolver:
     """Wraps a solver function and accumulates call/cost bookkeeping."""
@@ -561,4 +558,4 @@ class CountingSolver:
 
     @property
     def nominal_cost_s(self) -> float:
-        return self.calls * self.cfg.nominal_cost_ms / 1000.0
+        return nominal_cost_s(self.calls, self.cfg.nominal_cost_ms)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled_airfoil_dir, __version__
-from .aero import FIDELITIES, CountingSolver, FlowConditions, SolverConfig
+from .aero import FIDELITIES, CountingSolver, FlowConditions, SolverConfig, nominal_cost_s
 from .env import AirfoilEnv, EnvConfig
 from .errors import ConfigValueError, EmptyEvalError, FoilRlError
 from .errors import ResetError, UsageError
@@ -216,7 +216,8 @@ def cmd_train(args) -> int:
         )
     print(
         f"trained {result.total_steps} steps "
-        f"(solver calls {result.solver_calls}, nominal {result.nominal_cost_s:.1f}s); "
+        f"(solver calls {result.solver_calls}, "
+        f"nominal {result.checkpoint.meta['nominal_cost_s']:.1f}s); "
         f"outputs in {out}"
     )
     return 0
@@ -237,7 +238,7 @@ def cmd_finetune(args) -> int:
     cfg["ppo"]["total_timesteps"] = trained_timesteps(ppo_config)
     write_json(out / "resolved_config.json", cfg)
 
-    fres = finetune(
+    ledger = finetune(
         source,
         TlStrategy(args.strategy),
         env_config,
@@ -245,13 +246,12 @@ def cmd_finetune(args) -> int:
         seed=cfg["seed"],
         checkpoint_path=out / "checkpoint.ckpt",
         log_path=out / "training_log.csv",
-    )
-    ledger = fres.ledger
-    tl_free_cost_s = args.tl_free_steps * env_config.solver_config.nominal_cost_ms / 1000.0
+    ).ledger
+    tl_free_cost_s = nominal_cost_s(args.tl_free_steps, env_config.solver_config.nominal_cost_ms)
     write_ledger_json(out / "cost_ledger.json", ledger, tl_free_cost_s)
     tr = time_reduction(tl_free_cost_s, ledger.total_cost_s)
     print(
-        f"fine-tuned strategy #{int(fres.strategy)}: "
+        f"fine-tuned strategy #{args.strategy}: "
         f"pretrain {ledger.pretrain_cost_s:.1f}s + finetune {ledger.finetune_cost_s:.1f}s "
         f"vs baseline {tl_free_cost_s:.1f}s -> time reduction {tr:.1f}%"
     )
@@ -378,7 +378,7 @@ def cmd_pso(args) -> int:
         "best_fitness": result.best_fitness,
         "best_params": result.best_params.tolist(),
         "solver_calls": result.n_evaluations,
-        "nominal_cost_s": result.n_evaluations * solver.cfg.nominal_cost_ms / 1000.0,
+        "nominal_cost_s": nominal_cost_s(result.n_evaluations, solver.cfg.nominal_cost_ms),
     })
     write_json(out / "timing.json", {"wall_s": wall,
                                      "minor_page_faults": _minor_faults() - faults0})
@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", type=int, choices=[1, 2, 3, 4], required=True)
     p.add_argument("--sigma", type=_nonnegative_float, default=None)
     p.add_argument("--timesteps", type=_positive_int, default=None)
-    p.add_argument("--tl-free-steps", type=_positive_int, default=81920,
+    p.add_argument("--tl-free-steps", type=_positive_int,
+                   default=PRESETS["from-scratch"].total_timesteps,
                    help="baseline step count for the time-reduction report")
     p.add_argument("--high-cost-ms", type=float, default=None,
                    help="override the high-fidelity per-call nominal cost")

@@ -21,6 +21,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
+from .aero import nominal_cost_s
 from .env import AirfoilEnv, EnvConfig, EnvState
 from .errors import ContractViolation, EmptyEvalError, FitError, ResetError
 from .geometry import CstParams, fit_cst, read_dat
@@ -153,8 +154,8 @@ def _roll_episode(
         delta_mt_percent=float(100.0 * abs(mt_at_best - mt_initial) / mt_initial),
         episode_length=length,
         termination_reason=reason,
-        nominal_solver_cost_s=(env.solver.calls - calls_before)
-        * env.solver.cfg.nominal_cost_ms / 1000.0,
+        nominal_solver_cost_s=nominal_cost_s(env.solver.calls - calls_before,
+                                             env.solver.cfg.nominal_cost_ms),
         wall_time_s=time.perf_counter() - start,
         converged=converged,
         inference_s=inference_s,

@@ -74,9 +74,7 @@ class PpoConfig:
 # The three training columns: from-scratch high fidelity, low-fidelity
 # pretraining, and the fine-tuning phase (extra entropy for exploration).
 PRESETS: dict[str, PpoConfig] = {
-    "from-scratch": PpoConfig(
-        total_timesteps=81920, n_steps=2048, n_epochs=20, clip_range=0.3, entropy_coef=0.001
-    ),
+    "from-scratch": PpoConfig(),  # the defaults
     "pretrain": PpoConfig(
         total_timesteps=26312, n_steps=2048, n_epochs=10, clip_range=0.6, entropy_coef=0.0
     ),
@@ -329,7 +327,6 @@ class TrainResult:
     log_rows: list[dict]
     total_steps: int
     solver_calls: int
-    nominal_cost_s: float
 
 
 def build_agent(rng: np.random.Generator, obs_dim: int = 18, act_dim: int = 18):
@@ -395,17 +392,16 @@ def train(
         log_rows.append(row)
 
     solver_calls = sum(env.solver.calls for env in envs)
-    nominal_cost_s = sum(env.solver.nominal_cost_s for env in envs)
     ckpt = checkpoint({
         "solver_calls": solver_calls,
-        "nominal_cost_s": nominal_cost_s,
+        "nominal_cost_s": sum(env.solver.nominal_cost_s for env in envs),
         "nominal_cost_ms_per_call": envs[0].solver.cfg.nominal_cost_ms,
     })
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, ckpt)
     if log_path is not None:
         write_training_log(log_path, log_rows)
-    return TrainResult(ckpt, log_rows, steps_done, solver_calls, nominal_cost_s)
+    return TrainResult(ckpt, log_rows, steps_done, solver_calls)
 
 
 def write_training_log(path: str | Path, rows: list[dict]) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aero import low_fidelity_config
+from .aero import low_fidelity_config, nominal_cost_s
 from .env import EnvConfig
 from .errors import InvalidParams, ShapeError
 from .nets import AgentCheckpoint, FreezeMask, Mlp, Policy, orthogonal, save_checkpoint
@@ -87,11 +87,11 @@ class CostLedger:
 
     @property
     def pretrain_cost_s(self) -> float:
-        return self.pretrain_calls * self.pretrain_cost_ms_per_call / 1000.0
+        return nominal_cost_s(self.pretrain_calls, self.pretrain_cost_ms_per_call)
 
     @property
     def finetune_cost_s(self) -> float:
-        return self.finetune_calls * self.finetune_cost_ms_per_call / 1000.0
+        return nominal_cost_s(self.finetune_calls, self.finetune_cost_ms_per_call)
 
     @property
     def total_cost_s(self) -> float:
@@ -117,7 +117,6 @@ def time_reduction(tl_free_cost_s: float, tl_cost_s: float) -> float:
 class FinetuneResult:
     result: TrainResult
     ledger: CostLedger
-    strategy: TlStrategy
 
 
 def finetune(
@@ -157,7 +156,7 @@ def finetune(
     result.checkpoint.meta["strategy"] = int(strategy)
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, result.checkpoint)
-    return FinetuneResult(result=result, ledger=ledger, strategy=TlStrategy(strategy))
+    return FinetuneResult(result=result, ledger=ledger)
 
 
 def write_ledger_json(path: str | Path, ledger: CostLedger, tl_free_cost_s: float) -> None:
