@@ -95,7 +95,11 @@ def _load_config(args, defaults: dict = DEFAULT_CONFIG) -> dict:
     """The defaults, then the --config file, then the flags given, by `FLAG_KEYS`."""
     cfg = copy.deepcopy(defaults)
     if args.config:
-        cfg = _deep_merge(cfg, json.loads(Path(args.config).read_text()))
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # not text, or not JSON
+            raise UsageError(f"config file {args.config}: not JSON: {exc}") from None
+        cfg = _deep_merge(cfg, loaded)
     for dest, key in FLAG_KEYS.items():
         if (value := getattr(args, dest, None)) is not None:
             *sections, leaf = key.split(".")
@@ -563,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FoilRlError, OSError, json.JSONDecodeError) as exc:
+    except (FoilRlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -147,13 +147,12 @@ def backward(
     for k in range(net.n_layers - 1, -1, -1):
         if k < net.n_layers - 1:
             grad = grad * (1.0 - cache[k + 1] ** 2)  # d tanh
-        gw = cache[k].T @ grad
-        gb = grad.sum(axis=0)
-        if frozen[k]:
-            gw = np.zeros_like(gw)
-            gb = np.zeros_like(gb)
-        grads[2 * k] = gw
-        grads[2 * k + 1] = gb
+        if frozen[k]:  # no product: its gradient is zeros anyway
+            grads[2 * k] = np.zeros(net.weights[k].shape)
+            grads[2 * k + 1] = np.zeros(net.biases[k].shape)
+        else:
+            grads[2 * k] = cache[k].T @ grad
+            grads[2 * k + 1] = grad.sum(axis=0)
         grad = grad @ net.weights[k].T
     return grads, grad
 
@@ -300,6 +299,10 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _is_finite_nonnegative(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value < math.inf
+
+
 def _is_tensor_table(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -318,19 +321,25 @@ _LAYOUT = {
 _RECORDED = {
     "train_steps": (_is_count, "an integer >= 0"),
     "env_config_hash": (lambda v: isinstance(v, str), "a string"),
-    "sigma": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-              and 0 <= v < math.inf, "a finite number >= 0"),
+    "sigma": (_is_finite_nonnegative, "a finite number >= 0"),
     "fidelity": (lambda v: isinstance(v, str), "a string"),
 }
 
+# The `meta` entries that fine-tuning prices the source with; each may be absent.
+_META = {
+    "solver_calls": (_is_count, "an integer >= 0"),
+    "nominal_cost_ms_per_call": (_is_finite_nonnegative, "a finite number >= 0"),
+}
 
-def _checked(header, rules: dict, path) -> dict:
+
+def _checked(header, rules: dict, path, prefix: str = "") -> dict:
     """The `rules` keys of a JSON header; a missing or bad one is a ContractViolation."""
     for key, (valid, kind) in rules.items():
         if not (isinstance(header, dict) and key in header):
-            raise ContractViolation(f"{path}: header has no {key}")
+            raise ContractViolation(f"{path}: header has no {prefix}{key}")
         if not valid(header[key]):
-            raise ContractViolation(f"{path}: header {key} must be {kind}, not {header[key]!r}")
+            raise ContractViolation(
+                f"{path}: header {prefix}{key} must be {kind}, not {header[key]!r}")
     return {key: header[key] for key in rules}
 
 
@@ -398,6 +407,10 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         raise ContractViolation(f"{path}: checkpoint header is cut short or corrupt") from None
     _checked(header, _LAYOUT, path)
     recorded = _recorded(header, path)
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ContractViolation(f"{path}: header meta must be an object, not {meta!r}")
+    _checked(meta, {key: rule for key, rule in _META.items() if key in meta}, path, "meta.")
     counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
     expected = 12 + hlen + 8 * sum(counts)
     if len(raw) != expected:
@@ -418,7 +431,7 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
             v=[tensors[f"adam.v{k}"] for k in range(n_tensors)],
             t=header["adam_t"],
         )
-    return AgentCheckpoint(actor, critic, adam, **recorded, meta=header.get("meta", {}))
+    return AgentCheckpoint(actor, critic, adam, **recorded, meta=meta)
 
 
 def export_weights(ckpt: AgentCheckpoint, path: str | Path) -> None:

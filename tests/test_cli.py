@@ -278,6 +278,18 @@ class TestConfigKeys:
         assert err.count("\n") == 1 and key in err and "Traceback" not in err
         assert not (tmp_path / "out" / "resolved_config.json").exists()
 
+    @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe{}"])
+    def test_file_that_is_not_json_is_one_line_usage_error(self, content, dat_file, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        rc = main(["pso", "--airfoil", dat_file, "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_known_partial_section_merges(self, fast_config, dat_file, tmp_path):
         rc = main(["pso", "--airfoil", dat_file, "--swarm", "2", "--iterations", "1",
                    "--config", fast_config, "--out", str(tmp_path)])
@@ -574,6 +586,23 @@ class TestBadCheckpointInputs:
         argv = [command, "--checkpoint", str(bad)]
         argv += ["--airfoil", dat_file] if command == "optimize" else []
         self._fails(argv, bad, tmp_path / "out", capsys, key)
+
+    @pytest.mark.parametrize("meta, key", [
+        ("abc", "meta"),
+        ({"solver_calls": "abc"}, "meta.solver_calls"),
+        ({"solver_calls": -1}, "meta.solver_calls"),
+        ({"solver_calls": 2048.0}, "meta.solver_calls"),
+        ({"nominal_cost_ms_per_call": "4"}, "meta.nominal_cost_ms_per_call"),
+        ({"nominal_cost_ms_per_call": -1.0}, "meta.nominal_cost_ms_per_call"),
+        ({"nominal_cost_ms_per_call": float("nan")}, "meta.nominal_cost_ms_per_call"),
+    ])
+    def test_finetune_source_with_a_bad_meta(self, meta, key, trained, fast_config, tmp_path,
+                                             capsys):
+        bad = tmp_path / "bad.ckpt"
+        edit = (lambda old: {**old, **meta}) if isinstance(meta, dict) else meta
+        _rewrite_checkpoint(trained / "checkpoint.ckpt", bad, _with_header("meta", edit))
+        self._fails(["finetune", "--from", str(bad), "--strategy", "1", "--timesteps", "64",
+                     "--config", fast_config], bad, tmp_path / "out", capsys, key)
 
     @pytest.mark.parametrize("name", ["actor.b0", "adam.v3"])
     def test_checkpoint_without_a_tensor(self, name, trained, dat_file, tmp_path, capsys):

@@ -170,6 +170,19 @@ class TestBackward:
         grads, _ = backward(net, cache, np.ones((5, 2)), frozen=[True, True])
         assert all(np.all(g == 0.0) for g in grads)
 
+    def test_frozen_layers_leave_the_other_gradients_unchanged(self):
+        rng = np.random.default_rng(4)
+        net = mlp_init([4, 8, 8, 2], rng)
+        _, cache = forward_cached(net, rng.standard_normal((5, 4)))
+        grad_out = rng.standard_normal((5, 2))
+        full, gin_full = backward(net, cache, grad_out)
+        part, gin_part = backward(net, cache, grad_out, frozen=[True, True, False])
+        for a, b in zip(full[4:], part[4:]):
+            np.testing.assert_array_equal(a, b)
+        for g, t in zip(part[:4], net.tensors()[:4]):
+            assert g.shape == t.shape and np.all(g == 0.0)
+        np.testing.assert_array_equal(gin_full, gin_part)
+
     def test_missing_cache_is_contract_violation(self):
         net = mlp_init([4, 8, 2], np.random.default_rng(0))
         with pytest.raises(ContractViolation):
