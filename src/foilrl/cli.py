@@ -27,7 +27,7 @@ import numpy as np
 from . import bundled_airfoil_dir, __version__
 from .aero import FIDELITIES, CountingSolver, FlowConditions, SolverConfig, nominal_cost_s
 from .env import AirfoilEnv, EnvConfig
-from .errors import ConfigValueError, EmptyEvalError, FoilRlError
+from .errors import ConfigValueError, ContractViolation, EmptyEvalError, FoilRlError
 from .errors import ResetError, UsageError
 from .evaluate import (
     _roll_episode,
@@ -44,7 +44,7 @@ from .evaluate import (
 )
 from .geometry import fit_cst, read_dat
 from .nets import export_weights, import_weights, load_checkpoint, save_checkpoint
-from .outputs import write_csv, write_json
+from .outputs import checked, is_count, is_integer, is_number, write_csv, write_json
 from .plotting import write_svg_lines, write_svg_scatter
 from .ppo import PRESETS, PpoConfig, preset, train, trained_timesteps
 from .pso import PsoConfig, pso_optimize_airfoil
@@ -104,40 +104,34 @@ def _load_config(args, defaults: dict = DEFAULT_CONFIG) -> dict:
         if (value := getattr(args, dest, None)) is not None:
             *sections, leaf = key.split(".")
             functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
-    with _section(""):
-        _numbers({"seed": cfg["seed"]}, DEFAULT_CONFIG)
-        if cfg["seed"] < 0:  # numpy seeds no generator from a negative integer
-            raise ConfigValueError("seed", f"must be non-negative, not {cfg['seed']}")
+    with _section(""):  # numpy seeds no generator from a negative integer
+        checked(cfg, {"seed": (is_count, "an integer >= 0")})
     return cfg
 
 
 @contextmanager
 def _section(path: str):
-    """Turn a config object's rejected field into a usage error naming its dotted key."""
+    """Turn a rejected config value into a usage error naming its dotted key."""
     try:
         yield
-    except ConfigValueError as exc:
+    except (ConfigValueError, ContractViolation) as exc:
         raise UsageError(f"config {path}{exc}") from None
 
 
+_NUMBER_RULES = {
+    int: (is_integer, "an integer"),
+    float: (is_number, "a finite number"),
+    type(None): (lambda v: v is None or is_number(v), "a finite number or null"),
+}
+
+
 def _numbers(section: dict, defaults: dict) -> dict:
-    """`section` as it is, once each value is a finite JSON number its default allows.
+    """`section` as it is, once each value is a JSON number of its default's kind.
 
     Nothing is cast: the flow values feed `env_config_hash`, where JSON 2
-    and 2.0 hash differently. A key whose default is an int takes ints
-    only; one that defaults to None also takes null. JSON true/false are
-    not numbers here, though Python's bool is an int.
+    and 2.0 hash differently.
     """
-    for key, value in section.items():
-        default = defaults[key]
-        kinds = (int,) if isinstance(default, int) else (int, float)
-        number = isinstance(value, kinds) and not isinstance(value, bool)
-        if not (number or (default is None and value is None)):
-            kind = "an integer" if kinds == (int,) else "a number"
-            raise ConfigValueError(key, f"must be {kind}, not {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigValueError(key, f"must be finite, not {value!r}")
-    return section
+    return checked(section, {key: _NUMBER_RULES[type(defaults[key])] for key in section})
 
 
 def _out_dir(args, command: str) -> Path:

@@ -26,7 +26,7 @@ from .env import AirfoilEnv, EnvConfig, EnvState
 from .errors import ContractViolation, EmptyEvalError, FitError, ResetError
 from .geometry import CstParams, fit_cst, read_dat
 from .nets import AgentCheckpoint, gaussian_sample
-from .outputs import write_csv, write_json
+from .outputs import checked, is_finite_nonnegative, is_number, write_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -234,21 +234,22 @@ def write_summary_json(path: str | Path, summary: EvalSummary, extra: dict | Non
     write_json(path, payload)
 
 
+_SWEEP_POINT = {
+    "sigma": (is_finite_nonnegative, "a finite number >= 0"),
+    "delta_mt_mean": (is_finite_nonnegative, "a finite number >= 0"),
+    "best_median": (is_number, "a finite number"),
+}
+
+
 def read_sweep_point(path: str | Path) -> dict:
     """One sigma-sweep point, {sigma, delta_mt, best}, from a `write_summary_json` file."""
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # not text, or not JSON
         raise ContractViolation(f"{path}: not a JSON file: {exc}") from None
-    point = {}
-    for key, name in (("sigma", "sigma"), ("delta_mt_mean", "delta_mt"), ("best_median", "best")):
-        if not (isinstance(payload, dict) and key in payload):
-            raise ContractViolation(f"{path}: missing key {key}")
-        value = payload[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ContractViolation(f"{path}: {key} must be a number, not {value!r}")
-        point[name] = value
-    return point
+    point = checked(payload, _SWEEP_POINT, f"{path}: ")
+    return {"sigma": point["sigma"], "delta_mt": point["delta_mt_mean"],
+            "best": point["best_median"]}
 
 
 def compare_report(

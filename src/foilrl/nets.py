@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, ShapeError
+from .outputs import checked, is_count, is_finite_nonnegative
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -295,57 +296,33 @@ def _named_tensors(ckpt: AgentCheckpoint) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_finite_nonnegative(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value < math.inf
-
-
 def _is_tensor_table(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
-        and isinstance(e.get("shape"), list) and all(map(_is_count, e["shape"]))
+        and isinstance(e.get("shape"), list) and all(map(is_count, e["shape"]))
         for e in value)
 
 
 # What a checkpoint header holds besides the recorded fields: key -> (check, what it must be).
 _LAYOUT = {
-    "format_version": (lambda v: _is_count(v) and v == CHECKPOINT_VERSION, str(CHECKPOINT_VERSION)),
+    "format_version": (lambda v: is_count(v) and v == CHECKPOINT_VERSION, str(CHECKPOINT_VERSION)),
     "tensors": (_is_tensor_table, "a list of {name: string, shape: [integer >= 0]}"),
-    "adam_t": (lambda v: v is None or _is_count(v), "null or an integer >= 0"),
+    "adam_t": (lambda v: v is None or is_count(v), "null or an integer >= 0"),
 }
 
 # The AgentCheckpoint fields that a checkpoint header and an exported weights file record.
 _RECORDED = {
-    "train_steps": (_is_count, "an integer >= 0"),
+    "train_steps": (is_count, "an integer >= 0"),
     "env_config_hash": (lambda v: isinstance(v, str), "a string"),
-    "sigma": (_is_finite_nonnegative, "a finite number >= 0"),
+    "sigma": (is_finite_nonnegative, "a finite number >= 0"),
     "fidelity": (lambda v: isinstance(v, str), "a string"),
 }
 
 # The `meta` entries that fine-tuning prices the source with; each may be absent.
 _META = {
-    "solver_calls": (_is_count, "an integer >= 0"),
-    "nominal_cost_ms_per_call": (_is_finite_nonnegative, "a finite number >= 0"),
+    "solver_calls": (is_count, "an integer >= 0"),
+    "nominal_cost_ms_per_call": (is_finite_nonnegative, "a finite number >= 0"),
 }
-
-
-def _checked(header, rules: dict, path, prefix: str = "") -> dict:
-    """The `rules` keys of a JSON header; a missing or bad one is a ContractViolation."""
-    for key, (valid, kind) in rules.items():
-        if not (isinstance(header, dict) and key in header):
-            raise ContractViolation(f"{path}: header has no {prefix}{key}")
-        if not valid(header[key]):
-            raise ContractViolation(
-                f"{path}: header {prefix}{key} must be {kind}, not {header[key]!r}")
-    return {key: header[key] for key in rules}
-
-
-def _recorded(header, path) -> dict:
-    """The `_RECORDED` fields of a checkpoint header or a weights file's meta, checked."""
-    return _checked(header, _RECORDED, path)
 
 
 class _FileTensors(dict):
@@ -405,12 +382,13 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         header = json.loads(raw[12 : 12 + hlen].decode())
     except ValueError:
         raise ContractViolation(f"{path}: checkpoint header is cut short or corrupt") from None
-    _checked(header, _LAYOUT, path)
-    recorded = _recorded(header, path)
+    where = f"{path}: header "
+    checked(header, _LAYOUT, where)
+    recorded = checked(header, _RECORDED, where)
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
-        raise ContractViolation(f"{path}: header meta must be an object, not {meta!r}")
-    _checked(meta, {key: rule for key, rule in _META.items() if key in meta}, path, "meta.")
+        raise ContractViolation(f"{where}meta must be an object, not {meta!r}")
+    checked(meta, {key: rule for key, rule in _META.items() if key in meta}, f"{where}meta.")
     counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
     expected = 12 + hlen + 8 * sum(counts)
     if len(raw) != expected:
@@ -457,7 +435,7 @@ def import_weights(path: str | Path) -> AgentCheckpoint:
             meta = json.loads(str(data["meta"]))
         except ValueError:
             raise ContractViolation(f"{path}: meta is not a JSON string") from None
-        recorded = _recorded(meta, path)
+        recorded = checked(meta, _RECORDED, f"{path}: meta ")
         actor, critic = _agent_from_tensors(_FileTensors(path, {
             key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}))
     adam = AdamState.for_tensors(actor.tensors() + critic.tensors())

@@ -311,6 +311,7 @@ class TestConfigValues:
         ({"seed": "7"}, "seed"),
         ({"env": {"sigma": "nan"}}, "env.sigma"),
         ({"env": {"sigma": float("nan")}}, "env.sigma"),
+        ({"env": {"sigma": 10**400}}, "env.sigma"),
         ({"ppo": {"preset": "bogus"}}, "ppo.preset"),
     ])
     def test_train_rejects_out_of_range_value(self, payload, key, tmp_path, capsys):
@@ -935,6 +936,12 @@ class TestCompareChecksItsInputs:
         ({"sigma": 15, "delta_mt_mean": 12.0, "best_median": None}, "best_median"),
         ({"sigma": [15], "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
         ({"sigma": True, "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
+        ({"sigma": float("nan"), "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
+        ({"sigma": -15, "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
+        ({"sigma": 15, "delta_mt_mean": float("inf"), "best_median": 180.0}, "delta_mt_mean"),
+        ({"sigma": 15, "delta_mt_mean": -0.5, "best_median": 180.0}, "delta_mt_mean"),
+        ({"sigma": 15, "delta_mt_mean": 12.0, "best_median": float("-inf")}, "best_median"),
+        ({"sigma": 15, "delta_mt_mean": 12.0, "best_median": float("nan")}, "best_median"),
         (b"{not json", "JSON"),
         (b"\xff\xfe\x00", "JSON"),
     ])
