@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every command that takes --config resolves its configuration (defaults,
-then config file, then flags), serializes it into the output directory
-before doing any work, and writes machine-readable outputs there. CSV
+then config file, then flags) and checks all of it. A command reads and
+checks every input before it creates its output directory, so a bad one
+leaves nothing behind; it then serializes the configuration there before
+doing any work, and writes machine-readable outputs there. CSV
 and summary JSON outputs are deterministic given a seed; measured wall
 times go to a separate timing.json. Exit codes: 0 success, 1 runtime
 failure, 2 usage.
@@ -46,7 +48,7 @@ from .geometry import fit_cst, read_dat
 from .nets import export_weights, import_weights, load_checkpoint, save_checkpoint
 from .outputs import checked, is_count, is_integer, is_number, write_csv, write_json
 from .plotting import write_svg_lines, write_svg_scatter
-from .ppo import PRESETS, PpoConfig, preset, train, trained_timesteps
+from .ppo import PRESETS, PpoConfig, check_agent, preset, train, trained_timesteps
 from .pso import PsoConfig, pso_optimize_airfoil
 from .transfer import TlStrategy, finetune, time_reduction, write_ledger_json
 
@@ -106,6 +108,14 @@ def _load_config(args, defaults: dict = DEFAULT_CONFIG) -> dict:
             functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
     with _section(""):  # numpy seeds no generator from a negative integer
         checked(cfg, {"seed": (is_count, "an integer >= 0")})
+        checked(cfg["eval"], {"dataset": (lambda v: v is None or isinstance(v, str),
+                                          "a string or null")}, "eval.")
+    # Every section is built once here, so a command also rejects a bad value it does not read.
+    _env_config(cfg)
+    _ppo_config(cfg)
+    _pso_config(cfg)
+    for fidelity in FIDELITIES:
+        _solver_config(cfg, fidelity)
     return cfg
 
 
@@ -189,9 +199,9 @@ def _pso_config(cfg: dict) -> PsoConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, "train")
     env_config = _env_config(cfg)
     ppo_config = _ppo_config(cfg)
+    out = _out_dir(args, "train")
     cfg["ppo"]["total_timesteps"] = trained_timesteps(ppo_config)
     write_json(out / "resolved_config.json", cfg)
 
@@ -228,11 +238,12 @@ def cmd_finetune(args) -> int:
                          f"not {cfg['ppo']['preset']!r}")
     cfg["env"]["fidelity"] = "high"
     source = load_checkpoint(args.source)
-    out = _out_dir(args, "finetune")
+    check_agent(source.actor, args.source)
     if args.low_cost_ms is not None:  # the source's recorded price, which no config key holds
         source.meta["nominal_cost_ms_per_call"] = _solver_config(cfg, "low").nominal_cost_ms
     env_config = _env_config(cfg)
     ppo_config = _ppo_config(cfg)
+    out = _out_dir(args, "finetune")
     cfg["ppo"]["total_timesteps"] = trained_timesteps(ppo_config)
     write_json(out / "resolved_config.json", cfg)
 
@@ -263,11 +274,12 @@ def cmd_optimize(args) -> int:
     faults0 = _minor_faults()
     cfg = _load_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    out = _out_dir(args, "optimize")
+    check_agent(ckpt.actor, args.checkpoint)
     _, coords = read_dat(args.airfoil)
     params, residual = fit_cst(coords)
     cfg["env"].update(fidelity="high", sigma=ckpt.sigma)
     env_config = _env_config(cfg)
+    out = _out_dir(args, "optimize")
     write_json(out / "resolved_config.json", cfg)
 
     rows = []
@@ -310,18 +322,16 @@ def cmd_evaluate(args) -> int:
     faults0 = _minor_faults()
     cfg = _load_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    out = _out_dir(args, "evaluate")
-    dataset_dir = cfg["eval"]["dataset"]
-    if not (dataset_dir is None or isinstance(dataset_dir, str)):
-        raise UsageError(f"config eval.dataset must be a string or null, not {dataset_dir!r}")
-    dataset_dir = dataset_dir or bundled_airfoil_dir()
-    cfg["env"].update(fidelity="high", sigma=ckpt.sigma)
-    env_config = _env_config(cfg)
-    write_json(out / "resolved_config.json", cfg)
-
+    check_agent(ckpt.actor, args.checkpoint)
+    dataset_dir = cfg["eval"]["dataset"] or bundled_airfoil_dir()
     dataset = load_dataset(dataset_dir)
     if not dataset:
         raise EmptyEvalError(f"no usable coordinate files in {dataset_dir}")
+    cfg["env"].update(fidelity="high", sigma=ckpt.sigma)
+    env_config = _env_config(cfg)
+    out = _out_dir(args, "evaluate")
+    write_json(out / "resolved_config.json", cfg)
+
     t0 = time.perf_counter()
     records, summary = evaluate_policy(
         ckpt, dataset, env_config,
@@ -359,9 +369,9 @@ def cmd_pso(args) -> int:
     cfg = _load_config(args)
     solver = CountingSolver("high", _flow(cfg), _solver_config(cfg, "high"))
     pso_config = _pso_config(cfg)
-    out = _out_dir(args, "pso")
     _, coords = read_dat(args.airfoil)
     params, _ = fit_cst(coords)
+    out = _out_dir(args, "pso")
     write_json(out / "resolved_config.json", cfg)
 
     t0 = time.perf_counter()
@@ -388,14 +398,15 @@ def cmd_pso(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args, "compare")
     drl = read_records_csv(args.drl)
     pso_records = read_records_csv(args.pso)
     rows, aggregate = compare_report(drl, pso_records)
+    points = [read_sweep_point(path) for path in args.sweep or ()]
+    out = _out_dir(args, "compare")
     write_comparison_csv(out / "comparison.csv", rows)
     write_json(out / "comparison_summary.json", aggregate)
-    if args.sweep:
-        flagged = pareto_front([read_sweep_point(path) for path in args.sweep])
+    if points:
+        flagged = pareto_front(points)
         write_pareto_csv(out / "pareto.csv", flagged)
         if args.svg:
             groups = {}

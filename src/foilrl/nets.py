@@ -306,6 +306,7 @@ def _is_tensor_table(value) -> bool:
 # What a checkpoint header holds besides the recorded fields: key -> (check, what it must be).
 _LAYOUT = {
     "format_version": (lambda v: is_count(v) and v == CHECKPOINT_VERSION, str(CHECKPOINT_VERSION)),
+    "dtype": (lambda v: v == "<f8", "'<f8'"),
     "tensors": (_is_tensor_table, "a list of {name: string, shape: [integer >= 0]}"),
     "adam_t": (lambda v: v is None or is_count(v), "null or an integer >= 0"),
 }
@@ -336,17 +337,36 @@ class _FileTensors(dict):
         raise ContractViolation(f"{self.path}: no tensor {name}")
 
 
-def _agent_from_tensors(tensors: dict[str, np.ndarray]) -> tuple[Policy, Mlp]:
-    """Actor and critic from tensors named as by `_named_tensors`."""
+def _agent_from_tensors(tensors: _FileTensors) -> tuple[Policy, Mlp]:
+    """Actor and critic from tensors named as by `_named_tensors`, once their shapes fit together.
+
+    Each network has at least one layer, its layers chain and each bias is
+    as wide as its layer; the log-std is as wide as the actor's output, and
+    the critic reads the actor's input and ends in one value.
+    """
 
     def mlp(prefix: str) -> Mlp:
         n = sum(1 for name in tensors if name.startswith(f"{prefix}.w"))
-        return Mlp(
+        net = Mlp(
             [tensors[f"{prefix}.w{k}"] for k in range(n)],
             [tensors[f"{prefix}.b{k}"] for k in range(n)],
         )
+        shapes = [t.shape for t in net.tensors()]
+        chained = n and all(w.ndim == 2 for w in net.weights) and shapes == [
+            s for a, b in zip(net.sizes, net.sizes[1:]) for s in ((a, b), (b,))]
+        if not chained:
+            raise ContractViolation(f"{tensors.path}: {prefix} tensor shapes {shapes} "
+                                    "do not chain into a network")
+        return net
 
-    return Policy(mlp("actor"), tensors["actor.log_std"]), mlp("critic")
+    actor, critic = Policy(mlp("actor"), tensors["actor.log_std"]), mlp("critic")
+    if actor.log_std.shape != (actor.net.sizes[-1],):
+        raise ContractViolation(f"{tensors.path}: actor.log_std shape {actor.log_std.shape} "
+                                f"is not the actor's output width {actor.net.sizes[-1]}")
+    if [critic.sizes[0], critic.sizes[-1]] != [actor.net.sizes[0], 1]:
+        raise ContractViolation(f"{tensors.path}: critic sizes {critic.sizes} must read the "
+                                f"actor's {actor.net.sizes[0]} inputs and end in 1")
+    return actor, critic
 
 
 def save_checkpoint(path: str | Path, ckpt: AgentCheckpoint) -> None:
@@ -401,6 +421,8 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
         offset += count * 8
 
     actor, critic = _agent_from_tensors(tensors)
+    for key, sizes in (("actor_sizes", actor.net.sizes), ("critic_sizes", critic.sizes)):
+        checked(header, {key: (lambda v: v == sizes, f"the tensors' sizes {sizes}")}, where)
     adam = None
     if header["adam_t"] is not None:
         n_tensors = len(actor.tensors()) + len(critic.tensors())

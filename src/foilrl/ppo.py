@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import AirfoilEnv, EnvConfig, StepReason, normalize_observation
-from .errors import ConfigValueError, TrainingDiverged
+from .errors import ConfigValueError, ShapeError, TrainingDiverged
+from .geometry import N_PARAMS
 from .nets import (
     AdamState,
     AgentCheckpoint,
@@ -333,6 +334,14 @@ def build_agent(rng: np.random.Generator, obs_dim: int = 18, act_dim: int = 18):
     actor = policy_init([obs_dim] + HIDDEN_SIZES + [act_dim], rng)
     critic = mlp_init([obs_dim] + HIDDEN_SIZES + [1], rng)
     return actor, critic
+
+
+def check_agent(actor: Policy, where) -> None:
+    """Raise ShapeError unless `actor` reads the design vector and steps each of its parameters."""
+    widths = (actor.net.sizes[0], actor.net.sizes[-1])
+    if widths != (N_PARAMS, N_PARAMS):
+        raise ShapeError(f"{where}: actor maps {widths[0]} inputs to {widths[1]} actions, "
+                         f"not the {N_PARAMS} design parameters to {N_PARAMS}")
 
 
 def train(

@@ -22,10 +22,10 @@ import numpy as np
 
 from .aero import low_fidelity_config, nominal_cost_s
 from .env import EnvConfig
-from .errors import InvalidParams, ShapeError
+from .errors import InvalidParams
 from .nets import AgentCheckpoint, FreezeMask, Mlp, Policy, orthogonal, save_checkpoint
 from .outputs import write_json
-from .ppo import PpoConfig, TrainResult, train
+from .ppo import PpoConfig, TrainResult, check_agent, train
 
 
 class TlStrategy(enum.IntEnum):
@@ -131,8 +131,7 @@ def finetune(
     """Fine-tune a pretrained agent against the configured (expensive) solver."""
     if env_config.fidelity != "high":
         raise InvalidParams("fine-tuning runs against the high-fidelity solver")
-    if source.actor.net.sizes[-1] != env_config.bounds.lower.size:
-        raise ShapeError("source action width does not match the environment")
+    check_agent(source.actor, "source")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     actor, critic, mask = apply_strategy(source, strategy, rng)

@@ -18,8 +18,8 @@ from foilrl import bundled_airfoil_dir, cli, naca
 from foilrl.cli import main
 from foilrl.errors import UsageError
 from foilrl.evaluate import EvalRecord, write_records_csv
-from foilrl.nets import AgentCheckpoint, forward, load_checkpoint, mlp_init, policy_init
-from foilrl.nets import save_checkpoint
+from foilrl.nets import AgentCheckpoint, Mlp, Policy, forward, load_checkpoint, mlp_init
+from foilrl.nets import policy_init, save_checkpoint
 
 FAST = {
     "solver": {
@@ -129,10 +129,12 @@ class TestOptimize:
         assert timing["inference_s"] >= 0.0
         assert timing["solver_metric_s"] > timing["inference_s"]
 
-    def test_missing_airfoil_file(self, trained, tmp_path):
+    def test_missing_airfoil_file(self, trained, tmp_path, capsys):
         rc = main(["optimize", "--checkpoint", str(trained / "checkpoint.ckpt"),
-                   "--airfoil", "/nonexistent/x.dat", "--out", str(tmp_path)])
+                   "--airfoil", "/nonexistent/x.dat", "--out", str(tmp_path / "out")])
         assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:
@@ -151,12 +153,14 @@ class TestEvaluate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_evaluated"] + summary["n_excluded"] == 2
 
-    def test_empty_dataset_dir_fails(self, trained, tmp_path):
+    def test_empty_dataset_dir_fails(self, trained, tmp_path, capsys):
         ds = tmp_path / "empty"
         ds.mkdir()
         rc = main(["evaluate", "--checkpoint", str(trained / "checkpoint.ckpt"),
                    "--dataset", str(ds), "--out", str(tmp_path / "out")])
         assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_determinism_across_runs(self, trained, tmp_path, fast_config):
         ds = tmp_path / "ds2"
@@ -179,6 +183,13 @@ class TestPsoCommand:
         assert result["solver_calls"] == 6 * (4 + 1)
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(trace) == 5  # header + 4 iterations
+
+    def test_missing_airfoil_file(self, tmp_path, capsys):
+        rc = main(["pso", "--airfoil", str(tmp_path / "missing.dat"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompare:
@@ -354,6 +365,25 @@ class TestConfigValues:
         argv = ["evaluate", "--checkpoint", str(trained / "checkpoint.ckpt")]
         self._assert_usage_error(argv, {"eval": {"dataset": 5}}, "eval.dataset", tmp_path, capsys)
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"pso": {"swarm_size": 0}, "eval": {"dataset": 5}}, "eval.dataset"),
+        ({"pso": {"swarm_size": 0}}, "pso.swarm_size"),
+        ({"solver": {"high": {"panel_count": 0}}}, "solver.high.panel_count"),
+    ])
+    def test_train_rejects_a_section_it_does_not_read(self, payload, key, tmp_path, capsys):
+        argv = ["train", "--solver", "low", "--preset", "finetune", "--timesteps", "64"]
+        self._assert_usage_error(argv, payload, key, tmp_path, capsys)
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"ppo": {"n_envs": 0}}, "ppo.n_envs"),
+        ({"env": {"episode_max_length": 0}}, "env.episode_max_length"),
+        ({"solver": {"low": {"nominal_cost_ms": -1}}}, "solver.low.nominal_cost_ms"),
+    ])
+    def test_pso_rejects_a_section_it_does_not_read(self, payload, key, dat_file, tmp_path,
+                                                    capsys):
+        argv = ["pso", "--airfoil", dat_file, "--swarm", "2", "--iterations", "1"]
+        self._assert_usage_error(argv, payload, key, tmp_path, capsys)
+
     def test_integer_flow_value_is_kept_as_given(self, tmp_path):
         cfg = tmp_path / "int.json"
         cfg.write_text(json.dumps({"flow": {"reynolds": 1000000}}))
@@ -369,7 +399,7 @@ class TestConfigValues:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {key} ") and err.count("\n") == 1
-        assert not (tmp_path / "out" / "resolved_config.json").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:
@@ -538,6 +568,30 @@ def _without_tensor(name: str):
     return edit
 
 
+def _mlp(*shapes):
+    """An Mlp of zero weights of `shapes`, each with a bias as wide as its output."""
+    return Mlp([np.zeros(s) for s in shapes], [np.zeros(s[1]) for s in shapes])
+
+
+# Agents that `save_checkpoint` writes but that no command can roll, and what the error names.
+_BROKEN_AGENTS = [
+    pytest.param(lambda rng: (policy_init([18, 8, 5], rng), mlp_init([18, 8, 1], rng)),
+                 "actor maps 18 inputs to 5 actions", id="action-width-5"),
+    pytest.param(lambda rng: (policy_init([12, 8, 18], rng), mlp_init([12, 8, 1], rng)),
+                 "actor maps 12 inputs", id="input-width-12"),
+    pytest.param(lambda rng: (Policy(_mlp((18, 8), (9, 18)), np.zeros(18)),
+                              mlp_init([18, 8, 1], rng)), "actor tensor shapes", id="w1-9x18"),
+    pytest.param(lambda rng: (Policy(Mlp([np.zeros((18, 18))], [np.zeros(7)]), np.zeros(18)),
+                              mlp_init([18, 8, 1], rng)), "actor tensor shapes", id="b0-width-7"),
+    pytest.param(lambda rng: (Policy(mlp_init([18, 8, 18], rng), np.zeros(3)),
+                              mlp_init([18, 8, 1], rng)), "actor.log_std", id="log-std-3"),
+    pytest.param(lambda rng: (policy_init([18, 8, 18], rng), mlp_init([18, 8, 2], rng)),
+                 "critic sizes", id="critic-output-2"),
+    pytest.param(lambda rng: (policy_init([18, 8, 18], rng), mlp_init([6, 8, 1], rng)),
+                 "critic sizes", id="critic-input-6"),
+]
+
+
 class TestBadCheckpointInputs:
     """A checkpoint or weights file that lacks what loading reads: exit 1, one line, no output."""
 
@@ -554,7 +608,8 @@ class TestBadCheckpointInputs:
         self._fails(["optimize", "--checkpoint", str(bad), "--airfoil", dat_file],
                     bad, tmp_path / "out", capsys)
 
-    @pytest.mark.parametrize("key", ["format_version", "tensors", "adam_t", "sigma"])
+    @pytest.mark.parametrize("key", ["format_version", "tensors", "adam_t", "sigma", "dtype",
+                                     "actor_sizes", "critic_sizes"])
     def test_checkpoint_header_without_a_key(self, key, trained, dat_file, tmp_path, capsys):
         edit = lambda header, payload: ({k: v for k, v in header.items() if k != key}, payload)
         self._optimize_fails(edit, trained, dat_file, tmp_path, capsys)
@@ -573,6 +628,10 @@ class TestBadCheckpointInputs:
         ("optimize", "adam_t", "8"),
         ("optimize", "adam_t", 8.5),
         ("optimize", "format_version", 2),
+        ("optimize", "dtype", ">f8"),
+        ("optimize", "actor_sizes", [18, 256, 18]),
+        ("evaluate", "critic_sizes", [18, 256, 256, 2]),
+        ("optimize", "critic_sizes", "18"),
         ("evaluate", "tensors", "actor.w0"),
         ("optimize", "tensors", _first_tensor(lambda e: {"name": e["name"]})),
         ("optimize", "tensors", _first_tensor(lambda e: {**e, "shape": [-18, -256]})),
@@ -604,6 +663,27 @@ class TestBadCheckpointInputs:
         _rewrite_checkpoint(trained / "checkpoint.ckpt", bad, _with_header("meta", edit))
         self._fails(["finetune", "--from", str(bad), "--strategy", "1", "--timesteps", "64",
                      "--config", fast_config], bad, tmp_path / "out", capsys, key)
+
+    @pytest.mark.parametrize("build, fragment", _BROKEN_AGENTS)
+    @pytest.mark.parametrize("command", ["optimize", "evaluate", "finetune"])
+    def test_agent_that_does_not_fit(self, build, fragment, command, fast_config, dat_file,
+                                     tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        actor, critic = build(np.random.default_rng(0))
+        save_checkpoint(bad, AgentCheckpoint(actor, critic, None, 64, "beef", 0.0, "low"))
+        argv = {"optimize": ["optimize", "--checkpoint", str(bad), "--airfoil", dat_file],
+                "evaluate": ["evaluate", "--checkpoint", str(bad), "--sample",
+                             "--dataset", str(Path(dat_file).parent)],
+                "finetune": ["finetune", "--from", str(bad), "--strategy", "1",
+                             "--timesteps", "64"]}[command]
+        self._fails(argv + ["--config", fast_config], bad, tmp_path / "out", capsys, fragment)
+
+    def test_checkpoint_without_critic_layers(self, trained, dat_file, tmp_path, capsys):
+        def edit(header, payload):
+            for name in [e["name"] for e in header["tensors"] if e["name"].startswith("critic.")]:
+                header, payload = _without_tensor(name)(header, payload)
+            return header, payload
+        self._optimize_fails(edit, trained, dat_file, tmp_path, capsys)
 
     @pytest.mark.parametrize("name", ["actor.b0", "adam.v3"])
     def test_checkpoint_without_a_tensor(self, name, trained, dat_file, tmp_path, capsys):
@@ -899,6 +979,7 @@ class TestCompareChecksItsInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and key in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("column", ["best_ratio", "termination_reason"])
     def test_records_without_a_column(self, column, records, tmp_path, capsys):

@@ -202,6 +202,18 @@ class TestCompare:
         with pytest.raises(EmptyEvalError):
             compare_report([], [record()])
 
+    def test_airfoil_one_side_lacks_or_did_not_solve_is_skipped(self):
+        drl = [record(name="a"), record(name="b"), record(name="c", converged=False),
+               record(name="d")]
+        pso = [record(name="a"), record(name="b", converged=False), record(name="c")]
+        rows, aggregate = compare_report(drl, pso)
+        assert [r["airfoil"] for r in rows] == ["a"] and aggregate["n_common"] == 1
+
+    def test_no_common_converged_airfoil_rejected(self):
+        with pytest.raises(EmptyEvalError, match="no common converged airfoils"):
+            compare_report([record(name="a"), record(name="b", converged=False)],
+                           [record(name="b"), record(name="c")])
+
 
 class TestPareto:
     def test_sigma_sweep_all_nondominated(self):

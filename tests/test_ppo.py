@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foilrl.ppo as ppo_module
 from foilrl.env import AirfoilEnv, EnvConfig
 from foilrl.nets import (
     AdamState,
@@ -213,6 +214,43 @@ class TestPpoUpdate:
 
         for ref, got in zip(ref_grads, captured["grads"]):
             np.testing.assert_allclose(got, ref, atol=1e-8)
+
+
+class TestFrozenActorHead:
+    """A FreezeMask that freezes the actor's last layer also freezes its log-std."""
+
+    MASK = FreezeMask((False, False, True), (False, False, False))
+
+    @staticmethod
+    def _update(max_grad_norm=0.5):
+        actor, critic = tiny_agent(2)
+        buf = synthetic_buffer(actor, critic, n=64, seed=6)
+        cfg = PpoConfig(total_timesteps=64, n_steps=64, batch_size=64, n_epochs=1,
+                        max_grad_norm=max_grad_norm)
+        adam = AdamState.for_tensors(actor.tensors() + critic.tensors())
+        before = [t.copy() for t in actor.tensors()]
+        ppo_update(actor, critic, adam, buf, cfg, np.random.default_rng(0),
+                   TestFrozenActorHead.MASK)
+        return before, actor.tensors()
+
+    def test_log_std_and_head_unchanged(self):
+        before, after = self._update()
+        for k in (4, 5, 6):  # w2, b2, log_std
+            np.testing.assert_array_equal(after[k], before[k])
+        assert not np.array_equal(after[0], before[0])
+
+    def test_log_std_gradient_stays_out_of_the_clip_norm(self, monkeypatch):
+        captured = []
+        monkeypatch.setattr(ppo_module, "adam_step",
+                            lambda tensors, grads, *args, **kw: captured.append(
+                                [g.copy() for g in grads]))
+        self._update(max_grad_norm=1e18)
+        self._update(max_grad_norm=1e-3)
+        free, clipped = captured
+        assert not free[6].any()
+        norm = np.sqrt(sum(float((g**2).sum()) for g in free))
+        for f, c in zip(free, clipped):
+            np.testing.assert_allclose(c, f * (1e-3 / norm), rtol=1e-12, atol=0.0)
 
 
 class TestRollout:
