@@ -568,18 +568,14 @@ def _without_tensor(name: str):
     return edit
 
 
-def _mlp(*shapes):
-    """An Mlp of zero weights of `shapes`, each with a bias as wide as its output."""
-    return Mlp([np.zeros(s) for s in shapes], [np.zeros(s[1]) for s in shapes])
-
-
 # Agents that `save_checkpoint` writes but that no command can roll, and what the error names.
 _BROKEN_AGENTS = [
     pytest.param(lambda rng: (policy_init([18, 8, 5], rng), mlp_init([18, 8, 1], rng)),
                  "actor maps 18 inputs to 5 actions", id="action-width-5"),
     pytest.param(lambda rng: (policy_init([12, 8, 18], rng), mlp_init([12, 8, 1], rng)),
                  "actor maps 12 inputs", id="input-width-12"),
-    pytest.param(lambda rng: (Policy(_mlp((18, 8), (9, 18)), np.zeros(18)),
+    pytest.param(lambda rng: (Policy(Mlp([np.zeros((18, 8)), np.zeros((9, 18))],
+                                         [np.zeros(8), np.zeros(18)]), np.zeros(18)),
                               mlp_init([18, 8, 1], rng)), "actor tensor shapes", id="w1-9x18"),
     pytest.param(lambda rng: (Policy(Mlp([np.zeros((18, 18))], [np.zeros(7)]), np.zeros(18)),
                               mlp_init([18, 8, 1], rng)), "actor tensor shapes", id="b0-width-7"),
