@@ -322,8 +322,8 @@ class TestConfigValues:
         ({"seed": "7"}, "seed"),
         ({"env": {"sigma": "nan"}}, "env.sigma"),
         ({"env": {"sigma": float("nan")}}, "env.sigma"),
-        ({"env": {"sigma": 10**400}}, "env.sigma"),
         ({"ppo": {"preset": "bogus"}}, "ppo.preset"),
+        ({"env": {"sigma": 10**400}}, "env.sigma"),
     ])
     def test_train_rejects_out_of_range_value(self, payload, key, tmp_path, capsys):
         self._assert_usage_error(["train"], payload, key, tmp_path, capsys)
@@ -624,16 +624,16 @@ class TestBadCheckpointInputs:
         ("optimize", "adam_t", "8"),
         ("optimize", "adam_t", 8.5),
         ("optimize", "format_version", 2),
-        ("optimize", "dtype", ">f8"),
-        ("optimize", "actor_sizes", [18, 256, 18]),
-        ("evaluate", "critic_sizes", [18, 256, 256, 2]),
-        ("optimize", "critic_sizes", "18"),
         ("evaluate", "tensors", "actor.w0"),
         ("optimize", "tensors", _first_tensor(lambda e: {"name": e["name"]})),
         ("optimize", "tensors", _first_tensor(lambda e: {**e, "shape": [-18, -256]})),
         ("optimize", "tensors", _first_tensor(lambda e: {**e, "shape": [18.0, 256]})),
         ("optimize", "tensors", _first_tensor(lambda e: {**e, "name": 7})),
         ("optimize", "tensors", _first_tensor(lambda e: [e["name"], e["shape"]])),
+        ("optimize", "dtype", ">f8"),
+        ("optimize", "actor_sizes", [18, 256, 18]),
+        ("evaluate", "critic_sizes", [18, 256, 256, 2]),
+        ("optimize", "critic_sizes", "18"),
     ])
     def test_checkpoint_header_with_a_bad_value(self, command, key, value, trained, dat_file,
                                                 tmp_path, capsys):
@@ -1013,14 +1013,14 @@ class TestCompareChecksItsInputs:
         ({"sigma": 15, "delta_mt_mean": 12.0, "best_median": None}, "best_median"),
         ({"sigma": [15], "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
         ({"sigma": True, "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
+        (b"{not json", "JSON"),
+        (b"\xff\xfe\x00", "JSON"),
         ({"sigma": float("nan"), "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
         ({"sigma": -15, "delta_mt_mean": 12.0, "best_median": 180.0}, "sigma"),
         ({"sigma": 15, "delta_mt_mean": float("inf"), "best_median": 180.0}, "delta_mt_mean"),
         ({"sigma": 15, "delta_mt_mean": -0.5, "best_median": 180.0}, "delta_mt_mean"),
         ({"sigma": 15, "delta_mt_mean": 12.0, "best_median": float("-inf")}, "best_median"),
         ({"sigma": 15, "delta_mt_mean": 12.0, "best_median": float("nan")}, "best_median"),
-        (b"{not json", "JSON"),
-        (b"\xff\xfe\x00", "JSON"),
     ])
     def test_sweep_with_a_bad_value(self, content, fragment, records, tmp_path, capsys):
         sweep = tmp_path / "summary.json"
