@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bundled_airfoil_dir
 from .aero import FIDELITIES, CountingSolver, FlowConditions, SolverConfig
-from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
+from .errors import ConfigValueError, ContractViolation, InvalidParams
 from .errors import ResetError
 from .geometry import (
     CstParams,
@@ -168,11 +168,7 @@ class AirfoilEnv:
         if not ok:
             self.failure_reason = StepReason.INVALID_GEOMETRY
             return None
-        try:
-            result = self.solver(geom)
-        except GeometryRejected:
-            self.failure_reason = StepReason.INVALID_GEOMETRY
-            return None
+        result = self.solver(geom)  # the solver refuses no shape that is_valid passes
         if not result.converged:
             self.failure_reason = StepReason.SOLVER_FAILURE
             return None

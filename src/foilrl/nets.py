@@ -2,16 +2,22 @@
 
 Everything the training loop needs and nothing more: tanh MLPs, a
 diagonal-Gaussian policy head with a state-independent log-std vector,
-Adam with per-layer freeze masks, and the two agent files: a versioned
+Adam with per-layer freeze masks, the two-thread runner that PPO's
+update splits its work over, and the two agent files: a versioned
 binary checkpoint with a JSON header and fixed little-endian float64
 payload, and an `.npz` of the network weights. This module alone reads
 and writes both.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
 import json
 import math
 import struct
+import threading
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -226,13 +232,31 @@ class FreezeMask:
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count.
+
+    Each moment list holds views into one flat array (`m_flat`, `v_flat`)
+    in tensor order, so `adam_step` updates a run of consecutive tensors as
+    one array.
+    """
+
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
 
+    def __post_init__(self):
+        self.m_flat, self.m = _packed(self.m)
+        self.v_flat, self.v = _packed(self.v)
+
     @classmethod
     def for_tensors(cls, tensors: list[np.ndarray]) -> "AdamState":
-        return cls([np.zeros_like(t) for t in tensors], [np.zeros_like(t) for t in tensors])
+        return cls([np.zeros(t.shape) for t in tensors], [np.zeros(t.shape) for t in tensors])
+
+
+def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The arrays' values in one flat float array, and a view of it shaped like each array."""
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float) if arrays else np.zeros(0)
+    ends = list(itertools.accumulate(a.size for a in arrays))
+    return flat, [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
 def adam_step(
@@ -244,25 +268,154 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    run=None,
 ) -> None:
-    """In-place Adam with bias correction. Frozen tensors are left untouched."""
+    """In-place Adam with bias correction. Frozen tensors are left untouched.
+
+    Each run of consecutive unfrozen tensors is updated as one flat array.
+    Every operation is elementwise, so the bits do not depend on that
+    grouping, nor on `run` (see `both_cores`), whose worker thread updates
+    the later tensors while this thread updates about as many elements of
+    the earlier ones.
+    """
     if len(tensors) != len(grads) or len(tensors) != len(state.m):
         raise ShapeError("tensor/gradient/moment counts disagree")
     if frozen is None:
         frozen = [False] * len(tensors)
+    for tensor, grad, m, v, skip in zip(tensors, grads, state.m, state.v, frozen):
+        if not skip and not tensor.shape == grad.shape == m.shape == v.shape:
+            raise ShapeError(f"gradient or moment shapes {grad.shape}, {m.shape}, {v.shape} "
+                             f"!= parameter {tensor.shape}")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for tensor, grad, m, v, skip in zip(tensors, grads, state.m, state.v, frozen):
-        if skip:
-            continue
-        if tensor.shape != grad.shape:
-            raise ShapeError(f"gradient shape {grad.shape} != parameter {tensor.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad**2
-        tensor -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    offsets = [0, *itertools.accumulate(m.size for m in state.m)]
+
+    def update(lo: int, hi: int) -> None:
+        for skip, group in itertools.groupby(range(lo, hi), key=frozen.__getitem__):
+            if skip:
+                continue
+            ks = list(group)
+            start, stop = offsets[ks[0]], offsets[ks[-1] + 1]
+            m, v = state.m_flat[start:stop], state.v_flat[start:stop]
+            # m = beta1 m + (1 - beta1) g; v = beta2 v + (1 - beta2) g**2;
+            # step = lr (m / c1) / (sqrt(v / c2) + eps): one numpy operation each.
+            g = np.concatenate([grads[k].ravel() for k in ks])
+            step = np.multiply(g, 1.0 - beta1)
+            m *= beta1
+            m += step
+            np.multiply(g, g, out=step)
+            step *= 1.0 - beta2
+            v *= beta2
+            v += step
+            np.divide(m, c1, out=step)
+            step *= lr
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            g += eps
+            step /= g
+            for k in ks:
+                tensor = tensors[k]
+                tensor -= step[offsets[k] - start:offsets[k + 1] - start].reshape(tensor.shape)
+
+    if run is None:
+        update(0, len(tensors))
+    else:
+        live = [0, *itertools.accumulate(0 if skip else m.size for m, skip in zip(state.m, frozen))]
+        cut = min(range(len(live)), key=lambda k: abs(2 * live[k] - live[-1]))
+        run(lambda: update(0, cut), lambda: update(cut, len(tensors)))
+
+
+def _one_after_other(here, there):
+    return here(), there()
+
+
+class _Worker:
+    """A thread that runs the second of each pair of calls while the caller runs the first."""
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._outcome = None
+        self._thread = threading.Thread(target=self._serve, name="foilrl-update", daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            try:
+                self._outcome = self._job(), None
+            except BaseException as exc:  # handed back to the caller
+                self._outcome = None, exc
+            self._done.release()
+
+    def __call__(self, here, there):
+        """(here(), there()), with `there` run on the worker meanwhile."""
+        self._job = there
+        self._go.release()
+        try:
+            mine = here()
+        finally:
+            self._done.acquire()
+            (theirs, exc), self._outcome = self._outcome, None
+        if exc is not None:
+            raise exc
+        return mine, theirs
+
+    def close(self):
+        self._job = None
+        self._go.release()
+        self._thread.join()
+
+
+# OpenBLAS's thread-count getter and setter: as numpy's wheels and as a system library name them.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the thread count of numpy's own BLAS, or None when it exports neither pair."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def both_cores():
+    """A runner `run(here, there) -> (here(), there())` that calls `there` on a second thread.
+
+    For the length of the block numpy's BLAS is held to one thread, so the
+    two threads' products do not fight BLAS's own helper thread for the
+    cores; the count it had on entry is restored on the way out, also when
+    the block raises. Where numpy's BLAS has no thread control, the runner
+    calls the two one after the other on this thread.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield _one_after_other
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        with contextlib.closing(_Worker()) as worker:
+            yield worker
+    finally:
+        set_(before)
 
 
 @dataclass
@@ -416,8 +569,9 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
     offset = 12 + hlen
     tensors = _FileTensors(path, {})
     for entry, count in zip(header["tensors"], counts):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).astype(float)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(entry["shape"])
+        # AdamState packs the moments into an array of its own; the networks need copies.
+        tensors[entry["name"]] = arr if entry["name"].startswith("adam.") else arr.astype(float)
         offset += count * 8
 
     actor, critic = _agent_from_tensors(tensors)
@@ -458,7 +612,18 @@ def import_weights(path: str | Path) -> AgentCheckpoint:
         except ValueError:
             raise ContractViolation(f"{path}: meta is not a JSON string") from None
         recorded = checked(meta, _RECORDED, f"{path}: meta ")
-        actor, critic = _agent_from_tensors(_FileTensors(path, {
-            key.replace("_", ".", 1): data[key] for key in data.files if key != "meta"}))
+        tensors = _FileTensors(path, {})
+        for key in data.files:
+            if key == "meta":
+                continue
+            name = key.replace("_", ".", 1)
+            try:
+                tensor = data[key]
+            except ValueError:  # an object array, which loading without pickle refuses
+                tensor = None
+            if tensor is None or tensor.dtype.kind != "f":
+                raise ContractViolation(f"{path}: tensor {name} is not an array of floats")
+            tensors[name] = tensor
+        actor, critic = _agent_from_tensors(tensors)
     adam = AdamState.for_tensors(actor.tensors() + critic.tensors())
     return AgentCheckpoint(actor, critic, adam, **recorded)

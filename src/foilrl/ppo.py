@@ -7,6 +7,7 @@ failures do not.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .nets import (
     Policy,
     adam_step,
     backward,
+    both_cores,
     forward_cached,
     gaussian_entropy,
     gaussian_log_prob,
@@ -228,13 +230,71 @@ def gae_reference(rewards, values, dones, bootstrap, gamma, lam):
     return adv
 
 
-def _global_grad_clip(grads: list[np.ndarray], max_norm: float) -> float:
-    total = np.sqrt(sum(float((g**2).sum()) for g in grads))
+def _squares(grads: list[np.ndarray]) -> list[float]:
+    """Each gradient's sum of squares, the terms of the global clip norm."""
+    return [float((g**2).sum()) for g in grads]
+
+
+def _global_grad_clip(grads: list[np.ndarray], squares: list[float], max_norm: float) -> float:
+    """Scale `grads` in place to a global norm of at most `max_norm`; returns the norm before.
+
+    `squares` are the gradients' `_squares`, each taken on the thread that
+    made its gradient; they are added in tensor order.
+    """
+    total = np.sqrt(sum(squares))
     if total > max_norm and total > 0.0:
         scale = max_norm / total
         for g in grads:
             g *= scale
     return total
+
+
+def _actor_half(actor: Policy, ob, ac, adv, lp_old, config: PpoConfig, frozen, log_std_inside):
+    """((policy loss, clip fraction, approx KL), actor and log-std gradients, their `_squares`).
+
+    The gradients and squares are None when the loss is not finite.
+    """
+    b = ob.shape[0]
+    means, cache = forward_cached(actor.net, ob)
+    std = np.exp(np.clip(actor.log_std, LOG_STD_MIN, LOG_STD_MAX))
+    logp = gaussian_log_prob(means, actor.log_std, ac)
+    ratio = np.exp(logp - lp_old)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * adv
+    policy_loss = -np.minimum(unclipped, clipped).mean()
+    # d loss / d logpi: only where the unclipped branch is selected.
+    use_unclipped = unclipped <= clipped
+    stats = (policy_loss, (~use_unclipped).mean(), (lp_old - logp).mean())
+    if not np.isfinite(policy_loss):
+        return stats, None, None
+    g_logp = np.where(use_unclipped, -adv * ratio / b, 0.0)
+
+    z = (ac - means) / std
+    g_means = g_logp[:, None] * z / std
+    g_log_std = (g_logp[:, None] * (z**2 - 1.0)).sum(axis=0)
+    g_log_std -= config.entropy_coef * 1.0  # entropy bonus, d H / d log_std = 1
+    g_log_std = np.where(log_std_inside, g_log_std, 0.0)
+
+    grads, _ = backward(actor.net, cache, g_means, list(frozen))
+    if frozen[-1]:
+        g_log_std = np.zeros_like(g_log_std)
+    grads.append(g_log_std)
+    return stats, grads, _squares(grads)
+
+
+def _critic_half(critic: Mlp, ob, ret, config: PpoConfig, frozen):
+    """(value loss, gradients of the critic tensors, their `_squares`).
+
+    The gradients and squares are None when the loss is not finite.
+    """
+    vals, cache = forward_cached(critic, ob)
+    vals = vals[:, 0]
+    value_loss = float(((vals - ret) ** 2).mean())
+    if not np.isfinite(value_loss):
+        return value_loss, None, None
+    g_vals = config.value_coef * 2.0 * (vals - ret)[:, None] / ob.shape[0]
+    grads, _ = backward(critic, cache, g_vals, list(frozen))
+    return value_loss, grads, _squares(grads)
 
 
 def ppo_update(
@@ -246,7 +306,12 @@ def ppo_update(
     rng: np.random.Generator,
     freeze: FreezeMask | None = None,
 ) -> dict:
-    """Epochs of shuffled minibatch updates on the collected batch."""
+    """Epochs of shuffled minibatch updates on the collected batch.
+
+    Each minibatch's actor and critic halves (forward, loss, backward and
+    the clip norm's squares) and its Adam step run on two threads
+    (`nets.both_cores`), with the same bits as on one.
+    """
     if buffer.advantages is None:
         compute_gae(buffer, config.gamma, config.gae_lambda)
 
@@ -261,63 +326,39 @@ def ppo_update(
     if freeze is None:
         freeze = FreezeMask.none(actor.net.n_layers, critic.n_layers)
     frozen_flags = freeze.tensor_flags(actor, critic)
+    tensors = actor.tensors() + critic.tensors()
 
     log_std_inside = (actor.log_std > LOG_STD_MIN) & (actor.log_std < LOG_STD_MAX)
     totals = np.zeros(len(UPDATE_STATS))
     n_batches = 0
 
-    for _ in range(config.n_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            b = idx.size
-            ob, ac = obs[idx], actions[idx]
-            adv, ret, lp_old = advantages[idx], returns[idx], logp_old[idx]
+    with both_cores() as run:
+        for _ in range(config.n_epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                ob = obs[idx]
+                actor_out, critic_out = run(
+                    functools.partial(_actor_half, actor, ob, actions[idx], advantages[idx],
+                                      logp_old[idx], config, freeze.actor, log_std_inside),
+                    functools.partial(_critic_half, critic, ob, returns[idx], config,
+                                      freeze.critic),
+                )
+                (policy_loss, clip_fraction, approx_kl), actor_grads, actor_squares = actor_out
+                value_loss, critic_grads, critic_squares = critic_out
+                entropy = gaussian_entropy(actor.log_std)
+                total_loss = (
+                    policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy
+                )
+                if not np.isfinite(total_loss):
+                    raise TrainingDiverged(f"non-finite loss {total_loss}")
 
-            means, actor_cache = forward_cached(actor.net, ob)
-            log_std = np.clip(actor.log_std, LOG_STD_MIN, LOG_STD_MAX)
-            std = np.exp(log_std)
-            logp = gaussian_log_prob(means, actor.log_std, ac)
-            ratio = np.exp(logp - lp_old)
-            unclipped = ratio * adv
-            clipped = np.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * adv
-            policy_loss = -np.minimum(unclipped, clipped).mean()
+                grads = actor_grads + critic_grads
+                _global_grad_clip(grads, actor_squares + critic_squares, config.max_grad_norm)
+                adam_step(tensors, grads, adam, config.learning_rate, frozen_flags, run=run)
 
-            vals, critic_cache = forward_cached(critic, ob)
-            vals = vals[:, 0]
-            value_loss = float(((vals - ret) ** 2).mean())
-            entropy = gaussian_entropy(actor.log_std)
-            total_loss = (
-                policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy
-            )
-            if not np.isfinite(total_loss):
-                raise TrainingDiverged(f"non-finite loss {total_loss}")
-
-            # d loss / d logpi: only where the unclipped branch is selected.
-            use_unclipped = unclipped <= clipped
-            g_logp = np.where(use_unclipped, -adv * ratio / b, 0.0)
-
-            z = (ac - means) / std
-            g_means = g_logp[:, None] * z / std
-            g_log_std = (g_logp[:, None] * (z**2 - 1.0)).sum(axis=0)
-            g_log_std -= config.entropy_coef * 1.0  # entropy bonus, d H / d log_std = 1
-            g_log_std = np.where(log_std_inside, g_log_std, 0.0)
-
-            actor_grads, _ = backward(actor.net, actor_cache, g_means, list(freeze.actor))
-            if freeze.actor[-1]:
-                g_log_std = np.zeros_like(g_log_std)
-
-            g_vals = config.value_coef * 2.0 * (vals - ret)[:, None] / b
-            critic_grads, _ = backward(critic, critic_cache, g_vals, list(freeze.critic))
-
-            grads = actor_grads + [g_log_std] + critic_grads
-            _global_grad_clip(grads, config.max_grad_norm)
-            tensors = actor.tensors() + critic.tensors()
-            adam_step(tensors, grads, adam, config.learning_rate, frozen_flags)
-
-            totals += (policy_loss, value_loss, entropy,
-                       (~use_unclipped).mean(), (lp_old - logp).mean())
-            n_batches += 1
+                totals += (policy_loss, value_loss, entropy, clip_fraction, approx_kl)
+                n_batches += 1
 
     return dict(zip(UPDATE_STATS, (totals / n_batches).tolist()))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foilrl import naca
 from foilrl.aero import (
@@ -26,6 +28,7 @@ from foilrl.geometry import (
     cst_to_geometry,
     default_bounds,
     fit_cst,
+    is_valid,
     max_thickness,
     station_grid,
 )
@@ -105,6 +108,25 @@ class TestHighFidelity:
         swapped = AirfoilGeometry(geom.x, geom.y_lower, geom.y_upper)
         with pytest.raises(GeometryRejected):
             solve_high_fidelity(swapped, INCOMPRESSIBLE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(factor=st.floats(0.0, 1.5), spread=st.floats(0.0, 0.3),
+           direction=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
+    @example(factor=0.0, spread=0.0, direction=[0.0] * 18)  # below the thickness floor
+    def test_rejects_exactly_what_is_valid_rejects(self, factor, spread, direction):
+        # A scaled NACA 2412 fit plus a perturbation, in and out of the bounds:
+        # the environment's solve relies on the solver refusing no shape that
+        # `is_valid` passes.
+        vec = factor * fitted("2412").vector + spread * np.asarray(direction) * BOUNDS.span
+        cfg = high_fidelity_config(panel_count=64)
+        geom = cst_to_geometry(vec, cfg.geometry_stations)
+        ok, _ = is_valid(geom)
+        try:
+            solve_high_fidelity(geom, INCOMPRESSIBLE, cfg)
+        except GeometryRejected:
+            assert not ok
+        else:
+            assert ok
 
     def test_kappa_is_one(self):
         assert solve_high_fidelity(geom_of("4412"), INCOMPRESSIBLE).confidence == 1.0

@@ -729,6 +729,14 @@ class TestBadCheckpointInputs:
         np.savez(bad, **{**weights, "meta": "{sigma"})
         self._import_fails(bad, tmp_path, capsys, "meta")
 
+    @pytest.mark.parametrize("tensor", [
+        np.full((18, 256), "x"), np.full((18, 256), None, dtype=object), np.ones((18, 256), int),
+    ])
+    def test_weights_with_a_tensor_that_is_not_float(self, tensor, weights, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**weights, "actor_w0": tensor})
+        self._import_fails(bad, tmp_path, capsys, "actor.w0")
+
 
 class TestTimingJson:
     def test_commands_report_minor_page_faults(self, trained, dat_file, tmp_path, fast_config):

@@ -1,10 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foilrl.nets as nets_module
 import foilrl.ppo as ppo_module
 from foilrl.env import AirfoilEnv, EnvConfig
+from foilrl.errors import TrainingDiverged
 from foilrl.nets import (
     AdamState,
     FreezeMask,
@@ -19,6 +23,8 @@ from foilrl.ppo import (
     PRESETS,
     PpoConfig,
     RolloutBuffer,
+    UPDATE_STATS,
+    build_agent,
     collect_rollout,
     compute_gae,
     gae_reference,
@@ -251,6 +257,59 @@ class TestFrozenActorHead:
         norm = np.sqrt(sum(float((g**2).sum()) for g in free))
         for f, c in zip(free, clipped):
             np.testing.assert_allclose(c, f * (1e-3 / norm), rtol=1e-12, atol=0.0)
+
+
+class TestTwoThreadUpdate:
+    """The update on two threads gives the bits of the one-thread fallback and leaves no trace."""
+
+    CONFIG = PpoConfig(total_timesteps=256, n_steps=256, batch_size=64, n_epochs=2)
+
+    @staticmethod
+    def _run(freeze):
+        actor, critic = build_agent(np.random.default_rng(8))
+        adam = AdamState.for_tensors(actor.tensors() + critic.tensors())
+        buf = synthetic_buffer(actor, critic, n=256, seed=9)
+        stats = ppo_update(actor, critic, adam, buf, TestTwoThreadUpdate.CONFIG,
+                           np.random.default_rng(10), freeze)
+        return actor.tensors() + critic.tensors(), adam, stats
+
+    @pytest.mark.parametrize("freeze", [
+        None, FreezeMask((True, True, False), (True, True, False)),  # strategy 3
+    ])
+    def test_same_bits_as_one_thread(self, freeze, monkeypatch):
+        assert nets_module._blas_thread_control() is not None  # the two-thread path runs
+        tensors2, adam2, stats2 = self._run(freeze)
+        monkeypatch.setattr(nets_module, "_blas_thread_control", lambda: None)
+        tensors1, adam1, stats1 = self._run(freeze)
+        assert list(stats2) == list(UPDATE_STATS) and stats2 == stats1
+        assert adam2.t == adam1.t
+        for a, b in zip(tensors2 + adam2.m + adam2.v, tensors1 + adam1.m + adam1.v):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.fixture
+    def threads(self):
+        """A function that reads (Python threads, BLAS threads), with BLAS set to 2 meanwhile."""
+        get, set_ = nets_module._blas_thread_control()
+        original = get()
+        set_(2)  # not the 1 the update holds BLAS to
+        yield lambda: (threading.active_count(), get())
+        set_(original)
+
+    def test_threads_restored_after_return(self, threads):
+        before = threads()
+        self._run(None)
+        assert threads() == before
+
+    def test_threads_restored_after_divergence(self, threads):
+        actor, critic = tiny_agent()
+        adam = AdamState.for_tensors(actor.tensors() + critic.tensors())
+        buf = synthetic_buffer(actor, critic)
+        buf.rewards[5] = np.nan
+        cfg = PpoConfig(total_timesteps=128, n_steps=128, batch_size=64, n_epochs=1)
+        before = threads()
+        with pytest.raises(TrainingDiverged):
+            ppo_update(actor, critic, adam, buf, cfg, np.random.default_rng(0))
+        assert threads() == before
 
 
 class TestRollout:
