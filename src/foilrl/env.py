@@ -92,8 +92,6 @@ def thickness_kernel(mt: float, mt0: float, sigma: float) -> float:
     """Gaussian penalty on the thickness ratio; 1 when thickness is preserved."""
     if mt0 <= 0.0:
         raise InvalidParams("reference thickness must be positive")
-    if sigma < 0.0:
-        raise InvalidParams("sigma must be non-negative")
     return float(np.exp(-sigma * (mt / mt0 - 1.0) ** 2))
 
 

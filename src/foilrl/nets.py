@@ -33,24 +33,27 @@ LOG_STD_MAX = 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"FOILCKP1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _ALIGN = 64  # bytes: one cache line, one AVX-512 load
 
 
+def _order(a: np.ndarray) -> str:
+    """`a`'s memory order, "F" or "C". Results depend on it: it picks the BLAS kernel."""
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+
+
 def _aligned(a: np.ndarray) -> np.ndarray:
-    """`a`, or a copy of it in the same layout, starting on a cache-line boundary.
+    """`a`, or a copy of it in the same order, starting on a cache-line boundary.
 
     OpenBLAS's gemv reads a misaligned 256x256 matrix ~1.4x slower (batch-1
-    inference), and its results do not depend on the address. They do depend
-    on the layout, which picks the BLAS kernel, so Fortran order is kept.
+    inference), and its results do not depend on the address.
     """
     if a.ctypes.data % _ALIGN == 0:
         return a
-    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
     buf = np.empty(a.nbytes + _ALIGN, dtype=np.uint8)
     start = -buf.ctypes.data % _ALIGN
-    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape, order=order)
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape, order=_order(a))
     out[...] = a
     return out
 
@@ -239,24 +242,20 @@ class AdamState:
     one array.
     """
 
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
 
-    def __post_init__(self):
-        self.m_flat, self.m = _packed(self.m)
-        self.v_flat, self.v = _packed(self.v)
-
     @classmethod
     def for_tensors(cls, tensors: list[np.ndarray]) -> "AdamState":
-        return cls([np.zeros(t.shape) for t in tensors], [np.zeros(t.shape) for t in tensors])
-
-
-def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The arrays' values in one flat float array, and a view of it shaped like each array."""
-    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float) if arrays else np.zeros(0)
-    ends = list(itertools.accumulate(a.size for a in arrays))
-    return flat, [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+        """Zero moments for `tensors`."""
+        ends = [0, *itertools.accumulate(t.size for t in tensors)]
+        m_flat, v_flat = np.zeros(ends[-1]), np.zeros(ends[-1])
+        m, v = ([flat[lo:hi].reshape(t.shape) for t, lo, hi in zip(tensors, ends, ends[1:])]
+                for flat in (m_flat, v_flat))
+        return cls(m_flat, v_flat, m, v)
 
 
 def adam_step(
@@ -420,6 +419,12 @@ def both_cores():
 
 @dataclass
 class AgentCheckpoint:
+    """An agent and what it was trained on.
+
+    `adam` is the optimizer state of the run that built the agent. No file
+    holds it, so a checkpoint read from a file has None.
+    """
+
     actor: Policy
     critic: Mlp
     adam: AdamState | None
@@ -430,10 +435,6 @@ class AgentCheckpoint:
     meta: dict = field(default_factory=dict)
 
 
-def _tensor_entries(names_tensors: list[tuple[str, np.ndarray]]):
-    return [{"name": n, "shape": list(t.shape)} for n, t in names_tensors]
-
-
 def _named_tensors(ckpt: AgentCheckpoint) -> list[tuple[str, np.ndarray]]:
     out = []
     for k, (w, b) in enumerate(zip(ckpt.actor.net.weights, ckpt.actor.net.biases)):
@@ -441,11 +442,6 @@ def _named_tensors(ckpt: AgentCheckpoint) -> list[tuple[str, np.ndarray]]:
     out.append(("actor.log_std", ckpt.actor.log_std))
     for k, (w, b) in enumerate(zip(ckpt.critic.weights, ckpt.critic.biases)):
         out += [(f"critic.w{k}", w), (f"critic.b{k}", b)]
-    if ckpt.adam is not None:
-        for k, m in enumerate(ckpt.adam.m):
-            out.append((f"adam.m{k}", m))
-        for k, v in enumerate(ckpt.adam.v):
-            out.append((f"adam.v{k}", v))
     return out
 
 
@@ -453,6 +449,7 @@ def _is_tensor_table(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
         and isinstance(e.get("shape"), list) and all(map(is_count, e["shape"]))
+        and e.get("order") in ("C", "F")
         for e in value)
 
 
@@ -460,8 +457,8 @@ def _is_tensor_table(value) -> bool:
 _LAYOUT = {
     "format_version": (lambda v: is_count(v) and v == CHECKPOINT_VERSION, str(CHECKPOINT_VERSION)),
     "dtype": (lambda v: v == "<f8", "'<f8'"),
-    "tensors": (_is_tensor_table, "a list of {name: string, shape: [integer >= 0]}"),
-    "adam_t": (lambda v: v is None or is_count(v), "null or an integer >= 0"),
+    "tensors": (_is_tensor_table,
+                "a list of {name: string, shape: [integer >= 0], order: 'C' or 'F'}"),
 }
 
 # The AgentCheckpoint fields that a checkpoint header and an exported weights file record.
@@ -533,8 +530,7 @@ def save_checkpoint(path: str | Path, ckpt: AgentCheckpoint) -> None:
         "env_config_hash": ckpt.env_config_hash,
         "sigma": ckpt.sigma,
         "fidelity": ckpt.fidelity,
-        "adam_t": ckpt.adam.t if ckpt.adam is not None else None,
-        "tensors": _tensor_entries(named),
+        "tensors": [{"name": n, "shape": list(t.shape), "order": _order(t)} for n, t in named],
         "meta": ckpt.meta,
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -542,8 +538,8 @@ def save_checkpoint(path: str | Path, ckpt: AgentCheckpoint) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, tensor in named:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        for entry, (_, tensor) in zip(header["tensors"], named):
+            fh.write(np.asarray(tensor, dtype="<f8").tobytes(order=entry["order"]))
 
 
 def load_checkpoint(path: str | Path) -> AgentCheckpoint:
@@ -569,35 +565,25 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
     offset = 12 + hlen
     tensors = _FileTensors(path, {})
     for entry, count in zip(header["tensors"], counts):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(entry["shape"])
-        # AdamState packs the moments into an array of its own; the networks need copies.
-        tensors[entry["name"]] = arr if entry["name"].startswith("adam.") else arr.astype(float)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        tensors[entry["name"]] = arr.reshape(entry["shape"], order=entry["order"]).astype(float)
         offset += count * 8
 
     actor, critic = _agent_from_tensors(tensors)
     for key, sizes in (("actor_sizes", actor.net.sizes), ("critic_sizes", critic.sizes)):
         checked(header, {key: (lambda v: v == sizes, f"the tensors' sizes {sizes}")}, where)
-    adam = None
-    if header["adam_t"] is not None:
-        n_tensors = len(actor.tensors()) + len(critic.tensors())
-        adam = AdamState(
-            m=[tensors[f"adam.m{k}"] for k in range(n_tensors)],
-            v=[tensors[f"adam.v{k}"] for k in range(n_tensors)],
-            t=header["adam_t"],
-        )
-    return AgentCheckpoint(actor, critic, adam, **recorded, meta=meta)
+    return AgentCheckpoint(actor, critic, None, **recorded, meta=meta)
 
 
 def export_weights(ckpt: AgentCheckpoint, path: str | Path) -> None:
-    """The network tensors and the recorded fields, without the Adam moments, as an `.npz`."""
-    arrays = {name.replace(".", "_"): tensor for name, tensor in _named_tensors(ckpt)
-              if not name.startswith("adam.")}
+    """The network tensors, each in its memory order, and the recorded fields, as an `.npz`."""
+    arrays = {name.replace(".", "_"): tensor for name, tensor in _named_tensors(ckpt)}
     meta = {key: getattr(ckpt, key) for key in _RECORDED}
     np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 
 def import_weights(path: str | Path) -> AgentCheckpoint:
-    """A checkpoint with fresh Adam moments from an `.npz` that `export_weights` wrote."""
+    """The checkpoint, without Adam state, that `export_weights` wrote to an `.npz`."""
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):  # a text, empty or damaged file
@@ -625,5 +611,4 @@ def import_weights(path: str | Path) -> AgentCheckpoint:
                 raise ContractViolation(f"{path}: tensor {name} is not an array of floats")
             tensors[name] = tensor
         actor, critic = _agent_from_tensors(tensors)
-    adam = AdamState.for_tensors(actor.tensors() + critic.tensors())
-    return AgentCheckpoint(actor, critic, adam, **recorded)
+    return AgentCheckpoint(actor, critic, None, **recorded)

@@ -16,6 +16,7 @@ from foilrl.nets import (
     backward,
     gaussian_entropy,
     gaussian_log_prob,
+    load_checkpoint,
     mlp_init,
     policy_init,
 )
@@ -393,6 +394,20 @@ class TestTrain:
         assert result.checkpoint.actor.net.sizes == [18, 256, 256, 18]
         assert result.checkpoint.critic.sizes == [18, 256, 256, 1]
         assert (tmp_path / "a.ckpt").exists()
+
+    def test_divergence_saves_a_checkpoint_and_reraises(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDiverged("non-finite loss")
+
+        monkeypatch.setattr(ppo_module, "ppo_update", diverge)
+        cfg = EnvConfig(sigma=0.0, fidelity="low", rng_seed=0)
+        pcfg = preset("pretrain", total_timesteps=256, n_steps=256, n_epochs=1)
+        path = tmp_path / "diverged.ckpt"
+        with pytest.raises(TrainingDiverged):
+            train(cfg, pcfg, seed=0, checkpoint_path=path)
+        loaded = load_checkpoint(path)  # reads the current format only
+        assert loaded.meta == {"diverged": True}
+        assert loaded.train_steps == 0
 
     def test_learning_happens_and_small_gamma_learns_faster(self):
         # directional check: the short-horizon discount reaches a fixed
