@@ -41,6 +41,7 @@ from .evaluate import (
     read_sweep_point,
     write_comparison_csv,
     write_pareto_csv,
+    write_pareto_svg,
     write_records_csv,
     write_summary_json,
 )
@@ -409,16 +410,7 @@ def cmd_compare(args) -> int:
         flagged = pareto_front(points)
         write_pareto_csv(out / "pareto.csv", flagged)
         if args.svg:
-            groups = {}
-            for name, on_front in (("front", True), ("dominated", False)):
-                chosen = [p for p in flagged if p["on_front"] is on_front]
-                if chosen:
-                    groups[name] = ([p["delta_mt"] for p in chosen], [p["best"] for p in chosen])
-            write_svg_scatter(
-                out / "pareto.svg", groups,
-                title="Aerodynamic best vs thickness deviation",
-                xlabel="delta MT (%)", ylabel="best cl/cd",
-            )
+            write_pareto_svg(out / "pareto.svg", flagged)
     print(
         f"compared {aggregate['n_common']} airfoils: "
         f"drl wins {aggregate['drl_wins']}, pso wins {aggregate['pso_wins']}, "

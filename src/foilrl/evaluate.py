@@ -27,6 +27,7 @@ from .errors import ContractViolation, EmptyEvalError, FitError, ResetError
 from .geometry import CstParams, fit_cst, read_dat
 from .nets import AgentCheckpoint, gaussian_sample
 from .outputs import checked, is_finite_nonnegative, is_number, write_csv, write_json
+from .plotting import write_svg_scatter
 
 log = logging.getLogger(__name__)
 
@@ -316,3 +317,14 @@ def pareto_front(points: list[dict]) -> list[dict]:
 def write_pareto_csv(path: str | Path, points: list[dict]) -> None:
     cols = ["sigma", "delta_mt", "best", "on_front"]
     write_csv(path, cols, ([p[c] for c in cols] for p in sorted(points, key=lambda q: q["sigma"])))
+
+
+def write_pareto_svg(path: str | Path, points: list[dict]) -> None:
+    """`pareto_front`'s points as best cl/cd against delta MT, front and dominated apart."""
+    groups = {}
+    for name, on_front in (("front", True), ("dominated", False)):
+        chosen = [p for p in points if p["on_front"] is on_front]
+        if chosen:
+            groups[name] = ([p["delta_mt"] for p in chosen], [p["best"] for p in chosen])
+    write_svg_scatter(path, groups, title="Aerodynamic best vs thickness deviation",
+                      xlabel="delta MT (%)", ylabel="best cl/cd")

@@ -476,45 +476,47 @@ _META = {
 }
 
 
-class _FileTensors(dict):
-    """Tensors read from `path`; looking up a name the file lacks is a ContractViolation."""
+def _agent_from_tensors(path, named: list[tuple[str, np.ndarray]]) -> tuple[Policy, Mlp]:
+    """Actor and critic from (name, tensor) pairs read from `path`, named as by `_named_tensors`.
 
-    def __init__(self, path, tensors: dict[str, np.ndarray]):
-        super().__init__(tensors)
-        self.path = path
-
-    def __missing__(self, name: str):
-        raise ContractViolation(f"{self.path}: no tensor {name}")
-
-
-def _agent_from_tensors(tensors: _FileTensors) -> tuple[Policy, Mlp]:
-    """Actor and critic from tensors named as by `_named_tensors`, once their shapes fit together.
-
-    Each network has at least one layer, its layers chain and each bias is
-    as wide as its layer; the log-std is as wide as the actor's output, and
-    the critic reads the actor's input and ends in one value.
+    Each name is given once and read by a network. Each network has at least
+    one layer, its layers chain and each bias is as wide as its layer; the
+    log-std is as wide as the actor's output, and the critic reads the
+    actor's input and ends in one value.
     """
+    tensors = {}
+    for name, tensor in named:
+        if name in tensors:
+            raise ContractViolation(f"{path}: tensor {name} is given twice")
+        tensors[name] = tensor
+
+    def take(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise ContractViolation(f"{path}: no tensor {name}")
+        return tensors.pop(name)
 
     def mlp(prefix: str) -> Mlp:
         n = sum(1 for name in tensors if name.startswith(f"{prefix}.w"))
         net = Mlp(
-            [tensors[f"{prefix}.w{k}"] for k in range(n)],
-            [tensors[f"{prefix}.b{k}"] for k in range(n)],
+            [take(f"{prefix}.w{k}") for k in range(n)],
+            [take(f"{prefix}.b{k}") for k in range(n)],
         )
         shapes = [t.shape for t in net.tensors()]
         chained = n and all(w.ndim == 2 for w in net.weights) and shapes == [
             s for a, b in zip(net.sizes, net.sizes[1:]) for s in ((a, b), (b,))]
         if not chained:
-            raise ContractViolation(f"{tensors.path}: {prefix} tensor shapes {shapes} "
+            raise ContractViolation(f"{path}: {prefix} tensor shapes {shapes} "
                                     "do not chain into a network")
         return net
 
-    actor, critic = Policy(mlp("actor"), tensors["actor.log_std"]), mlp("critic")
+    actor, critic = Policy(mlp("actor"), take("actor.log_std")), mlp("critic")
+    if tensors:
+        raise ContractViolation(f"{path}: no network reads tensor {next(iter(tensors))}")
     if actor.log_std.shape != (actor.net.sizes[-1],):
-        raise ContractViolation(f"{tensors.path}: actor.log_std shape {actor.log_std.shape} "
+        raise ContractViolation(f"{path}: actor.log_std shape {actor.log_std.shape} "
                                 f"is not the actor's output width {actor.net.sizes[-1]}")
     if [critic.sizes[0], critic.sizes[-1]] != [actor.net.sizes[0], 1]:
-        raise ContractViolation(f"{tensors.path}: critic sizes {critic.sizes} must read the "
+        raise ContractViolation(f"{path}: critic sizes {critic.sizes} must read the "
                                 f"actor's {actor.net.sizes[0]} inputs and end in 1")
     return actor, critic
 
@@ -563,13 +565,14 @@ def load_checkpoint(path: str | Path) -> AgentCheckpoint:
     if len(raw) != expected:
         raise ContractViolation(f"{path}: {len(raw)} bytes where the header implies {expected}")
     offset = 12 + hlen
-    tensors = _FileTensors(path, {})
+    named = []
     for entry, count in zip(header["tensors"], counts):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        tensors[entry["name"]] = arr.reshape(entry["shape"], order=entry["order"]).astype(float)
+        arr = arr.reshape(entry["shape"], order=entry["order"]).astype(float)
+        named.append((entry["name"], arr))
         offset += count * 8
 
-    actor, critic = _agent_from_tensors(tensors)
+    actor, critic = _agent_from_tensors(path, named)
     for key, sizes in (("actor_sizes", actor.net.sizes), ("critic_sizes", critic.sizes)):
         checked(header, {key: (lambda v: v == sizes, f"the tensors' sizes {sizes}")}, where)
     return AgentCheckpoint(actor, critic, None, **recorded, meta=meta)
@@ -598,7 +601,7 @@ def import_weights(path: str | Path) -> AgentCheckpoint:
         except ValueError:
             raise ContractViolation(f"{path}: meta is not a JSON string") from None
         recorded = checked(meta, _RECORDED, f"{path}: meta ")
-        tensors = _FileTensors(path, {})
+        named = []
         for key in data.files:
             if key == "meta":
                 continue
@@ -609,6 +612,6 @@ def import_weights(path: str | Path) -> AgentCheckpoint:
                 tensor = None
             if tensor is None or tensor.dtype.kind != "f":
                 raise ContractViolation(f"{path}: tensor {name} is not an array of floats")
-            tensors[name] = tensor
-        actor, critic = _agent_from_tensors(tensors)
+            named.append((name, tensor))
+        actor, critic = _agent_from_tensors(path, named)
     return AgentCheckpoint(actor, critic, None, **recorded)

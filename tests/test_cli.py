@@ -569,6 +569,16 @@ def _without_tensor(name: str):
     return edit
 
 
+def _with_tensor(name: str):
+    """A `_rewrite_checkpoint` edit that appends a tensor `name` of 7.0s, shaped like `actor.b1`."""
+    def edit(header, payload):
+        shape = next(e["shape"] for e in header["tensors"] if e["name"] == "actor.b1")
+        entry = {"name": name, "shape": shape, "order": "C"}
+        extra = np.full(shape, 7.0, dtype="<f8").tobytes()
+        return {**header, "tensors": header["tensors"] + [entry]}, payload + extra
+    return edit
+
+
 # Agents that `save_checkpoint` writes but that no command can roll, and what the error names.
 _BROKEN_AGENTS = [
     pytest.param(lambda rng: (policy_init([18, 8, 5], rng), mlp_init([18, 8, 1], rng)),
@@ -599,11 +609,11 @@ class TestBadCheckpointInputs:
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and key in err
         assert not out.exists()
 
-    def _optimize_fails(self, edit, trained, dat_file, tmp_path, capsys):
+    def _optimize_fails(self, edit, trained, dat_file, tmp_path, capsys, key=""):
         bad = tmp_path / "bad.ckpt"
         _rewrite_checkpoint(trained / "checkpoint.ckpt", bad, edit)
         self._fails(["optimize", "--checkpoint", str(bad), "--airfoil", dat_file],
-                    bad, tmp_path / "out", capsys)
+                    bad, tmp_path / "out", capsys, key)
 
     @pytest.mark.parametrize("key", ["format_version", "tensors", "sigma", "dtype",
                                      "actor_sizes", "critic_sizes"])
@@ -685,6 +695,11 @@ class TestBadCheckpointInputs:
     def test_checkpoint_without_a_tensor(self, name, trained, dat_file, tmp_path, capsys):
         self._optimize_fails(_without_tensor(name), trained, dat_file, tmp_path, capsys)
 
+    @pytest.mark.parametrize("name", ["actor.b1", "adam.m0"])
+    def test_checkpoint_with_a_duplicate_or_unknown_tensor(self, name, trained, dat_file,
+                                                           tmp_path, capsys):
+        self._optimize_fails(_with_tensor(name), trained, dat_file, tmp_path, capsys, name)
+
     @pytest.fixture
     def weights(self, trained, tmp_path):
         npz = tmp_path / "w.npz"
@@ -728,6 +743,12 @@ class TestBadCheckpointInputs:
         bad = tmp_path / "bad.npz"
         np.savez(bad, **{**weights, "meta": "{sigma"})
         self._import_fails(bad, tmp_path, capsys, "meta")
+
+    @pytest.mark.parametrize("key", ["adam_m0"])
+    def test_weights_with_an_unknown_entry(self, key, weights, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**weights, key: weights["actor_b1"]})
+        self._import_fails(bad, tmp_path, capsys, key.replace("_", ".", 1))
 
     @pytest.mark.parametrize("tensor", [
         np.full((18, 256), "x"), np.full((18, 256), None, dtype=object), np.ones((18, 256), int),
