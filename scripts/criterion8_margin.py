@@ -6,8 +6,8 @@ times a 12x12 swarm that keeps NACA 0012's thickness within 1% (160
 panels, rng 5), then a 100-step batch-1 policy loop, and needs the swarm
 to take at least 100x as long. It takes one reading of each. This script
 makes the same measurement --repeats times and prints each reading, the
-median factor, its quartiles and how many readings fell under 100: the
-margin that a faster solver would eat.
+median factor, its quartiles and how many readings fell under 100: how
+far the factor lies from 100, on either side.
 
 The actor is a fresh one from `ppo.build_agent`, with the shapes and
 memory layout of the test's trained actor. Like the test, the script

@@ -218,19 +218,6 @@ def _circulation_cl(gamma: np.ndarray, s: np.ndarray) -> float:
 _BL_H1_INIT = 3.3 + 0.8234 * max(_BL_H_INIT - 1.1, 1e-3) ** -1.287
 
 
-def _head_h_from_h1(h1: float) -> float:
-    if h1 <= 3.32:
-        return _BL_H_SEPARATION
-    h = 1.1 + (0.8234 / (h1 - 3.3)) ** (1.0 / 1.287)
-    if h > 1.6:
-        h = 0.6778 + (1.5501 / (h1 - 3.3)) ** (1.0 / 3.064)
-    return float(h)
-
-
-def _cf_ludwieg_tillmann(h: float, re_theta: float) -> float:
-    return 0.246 * 10.0 ** (-0.678 * h) * max(re_theta, 1.0) ** -0.268
-
-
 def _gradient_weights(x: np.ndarray) -> tuple:
     """The x-only factors of np.gradient on a 1-D non-uniform grid.
 
@@ -303,48 +290,72 @@ def _march_boundary_layer(s, u_e, reynolds, max_substeps):
     u = u_e[keep]
     s = s - s[0] + max(s[0], 1e-4)
     du_ds = np.clip(_gradient(u, s), -60.0, 60.0)
-    # The march is a scalar recurrence: Python floats cost far less per
+
+    # Only theta, H and H1 feed back into the march, so every other input of a
+    # substep is built here, with the operations of the scalar recurrence in
+    # its order: interval k = [s_k, s_k+1] takes n_sub substeps, and substep j
+    # of it sits at frac = (j + 0.5) / n_sub, u_loc = u_k + frac * (u_k+1 - u_k).
+    # n_sub is min(max(1, int(ds_full / 2e-3) + 1), max_substeps); floor and
+    # int() differ only below 0, where max(1, .) gives 1 either way.
+    ds_full = s[1:] - s[:-1]
+    steps = ds_full / 2e-3
+    n = steps.size
+    finite = np.isfinite(steps)
+    if not finite.all():
+        # int() cannot size a non-finite interval: march up to it, then raise.
+        n = int(finite.argmin())
+    n_sub = np.minimum(np.maximum(np.floor(steps[:n]) + 1.0, 1.0), max_substeps).astype(np.int64)
+    k = np.repeat(np.arange(n), n_sub)
+    j = np.arange(k.size) - (np.cumsum(n_sub) - n_sub)[k]
+    frac = (j + 0.5) / n_sub[k]
+    u_loc = u[k] + frac * (u[1:] - u[:-1])[k]
+    dudx = du_ds[k] + frac * (du_ds[1:] - du_ds[:-1])[k]
+    ds = (ds_full[:n] / n_sub)[k]
+    s_loc = s[k] + (j + 1) * ds
+    # The recurrence itself is scalar: Python floats cost far less per
     # operation than numpy scalars, and the arithmetic is the same.
-    s, u, du_ds = s.tolist(), u.tolist(), du_ds.tolist()
-    s_end = s[-1]
+    s_end = float(s[-1])
 
     def flat_plate_theta(s_loc, u_loc):
         return 0.036 * s_loc * max(u_loc * reynolds * s_loc, 10.0) ** -0.2
 
-    theta = flat_plate_theta(s[0], u[0])
+    theta = flat_plate_theta(float(s[0]), float(u[0]))
     h = _BL_H_INIT
     h1 = _BL_H1_INIT
 
-    for k in range(len(s) - 1):
-        s_k, u_k, dudx_k = s[k], u[k], du_ds[k]
-        ds_full = s[k + 1] - s_k
-        du_k = u[k + 1] - u_k
-        ddudx_k = du_ds[k + 1] - dudx_k
-        n_sub = min(max(1, int(ds_full / 2e-3) + 1), max_substeps)
-        ds = ds_full / n_sub
-        for j in range(n_sub):
-            frac = (j + 0.5) / n_sub
-            u_loc = u_k + frac * du_k
-            dudx = dudx_k + frac * ddudx_k
-            re_theta = u_loc * theta * reynolds
-            cf = _cf_ludwieg_tillmann(h, re_theta)
-            dtheta = 0.5 * cf - (h + 2.0) * theta / u_loc * dudx
-            dth1 = 0.0306 * max(h1 - 3.0, 0.05) ** -0.6169 - (theta * h1 / u_loc) * dudx
-            theta_new = theta + ds * dtheta
-            th1_new = theta * h1 + ds * dth1
-            s_loc = s_k + (j + 1) * ds
-            if theta_new <= 0.0 or th1_new <= 3.32 * theta_new:
-                # Strong acceleration collapsed the layer; restart it thin.
-                theta = flat_plate_theta(s_loc, u_loc)
-                h = _BL_H_INIT
-                h1 = _BL_H1_INIT
-                continue
-            theta = theta_new
-            h1 = min(th1_new / theta, 25.0)
-            h = _head_h_from_h1(h1)
-            if h >= _BL_H_SEPARATION and dudx < 0.0:
-                return theta, h, u_loc, s_loc / s_end
-    return theta, h, u[-1], 1.0
+    # Ludwieg-Tillmann skin friction and Head's H(H1) are written out inline.
+    # Each max(x, c) is `c if c > x else x` and min(x, c) is `c if c < x else x`:
+    # the operand the builtins return, on ties and NaN too.
+    for u_loc, dudx, ds, s_loc in zip(u_loc.tolist(), dudx.tolist(), ds.tolist(), s_loc.tolist()):
+        re_theta = u_loc * theta * reynolds
+        cf = 0.246 * 10.0 ** (-0.678 * h) * (1.0 if 1.0 > re_theta else re_theta) ** -0.268
+        dtheta = 0.5 * cf - (h + 2.0) * theta / u_loc * dudx
+        h1_excess = h1 - 3.0
+        dth1 = 0.0306 * (0.05 if 0.05 > h1_excess else h1_excess) ** -0.6169 \
+            - (theta * h1 / u_loc) * dudx
+        theta_new = theta + ds * dtheta
+        th1_new = theta * h1 + ds * dth1
+        if theta_new <= 0.0 or th1_new <= 3.32 * theta_new:
+            # Strong acceleration collapsed the layer; restart it thin.
+            theta = flat_plate_theta(s_loc, u_loc)
+            h = _BL_H_INIT
+            h1 = _BL_H1_INIT
+            continue
+        theta = theta_new
+        h1 = th1_new / theta
+        if 25.0 < h1:
+            h1 = 25.0
+        if h1 <= 3.32:
+            h = _BL_H_SEPARATION
+        else:
+            h = 1.1 + (0.8234 / (h1 - 3.3)) ** (1.0 / 1.287)
+            if h > 1.6:
+                h = 0.6778 + (1.5501 / (h1 - 3.3)) ** (1.0 / 3.064)
+        if h >= _BL_H_SEPARATION and dudx < 0.0:
+            return theta, h, u_loc, s_loc / s_end
+    if n < steps.size:
+        int(steps[n])  # raises the ValueError or OverflowError of the interval loop
+    return theta, h, float(u[-1]), 1.0
 
 
 def _squire_young(theta: float, h: float, u: float) -> float:

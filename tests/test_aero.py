@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foilrl import naca
+from foilrl import aero, bundled_airfoil_dir, naca
 from foilrl.aero import (
     AeroResult,
     CountingSolver,
@@ -15,8 +17,13 @@ from foilrl.aero import (
     plausibility_score,
     solve_high_fidelity,
     solve_low_fidelity,
+    _BL_H1_INIT,
+    _BL_H_INIT,
+    _BL_H_SEPARATION,
+    _BL_U_START,
     _flat_plate_cf,
     _gradient,
+    _march_boundary_layer,
     _surrogate_grid,
     _trapezoid,
 )
@@ -30,6 +37,7 @@ from foilrl.geometry import (
     fit_cst,
     is_valid,
     max_thickness,
+    read_dat,
     station_grid,
 )
 
@@ -309,6 +317,184 @@ class TestLeanKernels:
         for x in (cosine_stations(81), np.cumsum(rng.uniform(1e-3, 1.0, 50))):
             y = rng.standard_normal(x.size)
             assert _trapezoid(y, x) == np.trapezoid(y, x)
+
+
+# The per-interval boundary-layer march that the flattened one replaced, kept
+# verbatim as the reference, plus a count of the branches it takes.
+
+
+def _head_h_from_h1(h1: float) -> float:
+    if h1 <= 3.32:
+        return _BL_H_SEPARATION
+    h = 1.1 + (0.8234 / (h1 - 3.3)) ** (1.0 / 1.287)
+    if h > 1.6:
+        h = 0.6778 + (1.5501 / (h1 - 3.3)) ** (1.0 / 3.064)
+    return float(h)
+
+
+def _cf_ludwieg_tillmann(h: float, re_theta: float) -> float:
+    return 0.246 * 10.0 ** (-0.678 * h) * max(re_theta, 1.0) ** -0.268
+
+
+def _reference_march(s, u_e, reynolds, max_substeps, branches):
+    s = np.asarray(s, dtype=float)
+    u_e = np.asarray(u_e, dtype=float)
+    s_total = s[-1] if s.size else 0.0
+
+    # Start at the stagnation point: the front-region velocity minimum.
+    front = s < 0.3 * s_total
+    if front.sum() >= 2:
+        i0 = int(np.argmin(u_e[front]))
+        s, u_e = s[i0:], u_e[i0:]
+    # Drop the blunt-trailing-edge velocity spike (potential-flow artifact).
+    te_keep = s <= s_total - 0.01
+    s, u_e = s[te_keep], u_e[te_keep]
+
+    keep = u_e > _BL_U_START
+    if keep.sum() < 4:
+        branches["too_few_points"] += 1
+        return None
+    s = s[keep]
+    u = u_e[keep]
+    s = s - s[0] + max(s[0], 1e-4)
+    du_ds = np.clip(_gradient(u, s), -60.0, 60.0)
+    # The march is a scalar recurrence: Python floats cost far less per
+    # operation than numpy scalars, and the arithmetic is the same.
+    s, u, du_ds = s.tolist(), u.tolist(), du_ds.tolist()
+    s_end = s[-1]
+
+    def flat_plate_theta(s_loc, u_loc):
+        return 0.036 * s_loc * max(u_loc * reynolds * s_loc, 10.0) ** -0.2
+
+    theta = flat_plate_theta(s[0], u[0])
+    h = _BL_H_INIT
+    h1 = _BL_H1_INIT
+
+    for k in range(len(s) - 1):
+        s_k, u_k, dudx_k = s[k], u[k], du_ds[k]
+        ds_full = s[k + 1] - s_k
+        du_k = u[k + 1] - u_k
+        ddudx_k = du_ds[k + 1] - dudx_k
+        n_sub = min(max(1, int(ds_full / 2e-3) + 1), max_substeps)
+        if n_sub < int(ds_full / 2e-3) + 1:
+            branches["substep_cap"] += 1
+        ds = ds_full / n_sub
+        for j in range(n_sub):
+            frac = (j + 0.5) / n_sub
+            u_loc = u_k + frac * du_k
+            dudx = dudx_k + frac * ddudx_k
+            re_theta = u_loc * theta * reynolds
+            cf = _cf_ludwieg_tillmann(h, re_theta)
+            dtheta = 0.5 * cf - (h + 2.0) * theta / u_loc * dudx
+            dth1 = 0.0306 * max(h1 - 3.0, 0.05) ** -0.6169 - (theta * h1 / u_loc) * dudx
+            theta_new = theta + ds * dtheta
+            th1_new = theta * h1 + ds * dth1
+            s_loc = s_k + (j + 1) * ds
+            if theta_new <= 0.0 or th1_new <= 3.32 * theta_new:
+                # Strong acceleration collapsed the layer; restart it thin.
+                branches["restart"] += 1
+                theta = flat_plate_theta(s_loc, u_loc)
+                h = _BL_H_INIT
+                h1 = _BL_H1_INIT
+                continue
+            theta = theta_new
+            h1 = min(th1_new / theta, 25.0)
+            h = _head_h_from_h1(h1)
+            if h >= _BL_H_SEPARATION and dudx < 0.0:
+                branches["separation"] += 1
+                return theta, h, u_loc, s_loc / s_end
+    branches["attached"] += 1
+    return theta, h, u[-1], 1.0
+
+
+def _outcome(march, args):
+    """What a march returns, or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return march(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def recorded_marches():
+    """Every march the panel solver runs on the bundled fits and seeded
+    perturbations of them, at 96, 160 and 255 panels."""
+    vectors = [fit_cst(read_dat(path)[1], BOUNDS)[0].vector
+               for path in sorted(bundled_airfoil_dir().glob("*.dat"))]
+    rng = np.random.default_rng(2002)
+    vectors += [BOUNDS.clamp(vectors[i] + rng.uniform(-scale, scale, 18) * BOUNDS.span)
+                for i in range(0, 60, 8) for scale in (0.05, 0.15)]
+    calls = []
+
+    def record(*args):
+        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+        return march(*args)
+
+    march = aero._march_boundary_layer
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aero, "_march_boundary_layer", record)
+        for panels in (96, 160, 255):
+            cfg = high_fidelity_config(panel_count=panels)
+            for vec in vectors:
+                geom = cst_to_geometry(vec, cfg.geometry_stations)
+                if is_valid(geom)[0]:
+                    solve_high_fidelity(geom, FlowConditions(), cfg)
+    return calls
+
+
+# (branch of the reference, s, u_e, max_substeps): constructed marches that
+# reach the branches the recorded ones do not, on 60 stations 0.02 apart.
+_S = np.cumsum(np.full(60, 0.02))
+_X = np.linspace(0.0, 1.0, 60)
+CONSTRUCTED_MARCHES = [
+    ("too_few_points", _S, np.where(_X > 0.95, 1.0, 0.1), 200),
+    ("substep_cap", _S, 1.0 + 0.2 * _X, 3),
+    ("restart", _S, 0.31 + 60.0 * _S, 1),
+    ("separation", _S, 1.5 - 1.2 * _X, 200),
+    ("attached", _S, 1.0 + 0.2 * _X, 200),
+]
+
+
+class TestFlattenedMarch:
+    """The flattened march returns what the per-interval one returned, bit for bit."""
+
+    def test_recorded_marches_equal_reference(self, recorded_marches):
+        branches = Counter()
+        assert len(recorded_marches) > 400
+        for args in recorded_marches:
+            assert _march_boundary_layer(*args) == _reference_march(*args, branches)
+        assert branches["attached"] > 0
+        assert branches["separation"] > 0
+
+    @pytest.mark.parametrize("branch,s,u_e,max_substeps", CONSTRUCTED_MARCHES,
+                             ids=[case[0] for case in CONSTRUCTED_MARCHES])
+    def test_constructed_branch(self, branch, s, u_e, max_substeps):
+        branches = Counter()
+        args = (s, u_e, 1e6, max_substeps)
+        expected = _reference_march(*args, branches)
+        assert branches[branch] > 0
+        assert _march_boundary_layer(*args) == expected
+        assert (expected is None) == (branch == "too_few_points")
+
+    def test_drag_model_fails_on_a_surface_too_slow_to_march(self):
+        geom = geom_of("2412", 81)
+        xs, ys = aero._panel_nodes(geom, 160)
+        _, v_t, s = aero._linear_vortex_solution(xs, ys, np.radians(2.0))
+        n_lower = (xs.size - 1) // 2
+        assert aero._profile_drag(geom, v_t, s, 1e6, n_lower, 200) is not None
+        v_t[:n_lower] = 0.1  # no lower-surface station above _BL_U_START
+        assert aero._profile_drag(geom, v_t, s, 1e6, n_lower, 200) is None
+
+    @pytest.mark.parametrize("s,error", [
+        (np.append(_S[:-1], np.inf), OverflowError),
+        (np.insert(_S[1:], 0, -np.inf), ValueError),
+    ], ids=["inf", "nan"])
+    def test_non_finite_interval_raises_as_int_did(self, s, error):
+        args = (s, 1.0 + 0.2 * _X, 1e6, 200)
+        expected = _outcome(_reference_march, (*args, Counter()))
+        assert expected[0] is error
+        assert _outcome(_march_boundary_layer, args) == expected
 
 
 # Reference values captured from the solvers before the angle-addition panel
