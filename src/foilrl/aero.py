@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigValueError, ContractViolation, GeometryRejected, InvalidParams
+from .errors import ConfigValueError, GeometryRejected, InvalidParams
 from .geometry import AirfoilGeometry, is_valid, max_thickness, station_grid
 
 CD_FLOOR = 1e-4
@@ -109,13 +109,6 @@ class AeroResult:
     cd: float | None
     confidence: float
     converged: bool
-
-
-def lift_drag_ratio(result: AeroResult) -> float:
-    """cl / cd of a converged result; consuming a failed solve is a bug."""
-    if not result.converged:
-        raise ContractViolation("lift_drag_ratio on a non-converged result")
-    return result.cl / result.cd
 
 
 def _prandtl_glauert(cl: float, mach: float) -> float:
@@ -257,11 +250,6 @@ def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _trapezoid_widths(y: np.ndarray, widths: np.ndarray) -> float:
     return (widths * (y[1:] + y[:-1]) / 2.0).sum()
-
-
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    """np.trapezoid(y, x) for 1-D arrays, same operations, no set-up cost."""
-    return _trapezoid_widths(y, x[1:] - x[:-1])
 
 
 def _march_boundary_layer(s, u_e, reynolds, max_substeps):

@@ -224,7 +224,7 @@ def cmd_train(args) -> int:
             ylabel="mean episode reward",
         )
     print(
-        f"trained {result.total_steps} steps "
+        f"trained {result.checkpoint.train_steps} steps "
         f"(solver calls {result.solver_calls}, "
         f"nominal {result.checkpoint.meta['nominal_cost_s']:.1f}s); "
         f"outputs in {out}"

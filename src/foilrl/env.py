@@ -99,10 +99,6 @@ def normalize_observation(vec: np.ndarray, bounds: ParamBounds) -> np.ndarray:
     return 2.0 * (vec - bounds.lower) / bounds.span - 1.0
 
 
-def denormalize_observation(obs: np.ndarray, bounds: ParamBounds) -> np.ndarray:
-    return bounds.lower + 0.5 * (obs + 1.0) * bounds.span
-
-
 @dataclass
 class EnvState:
     params: np.ndarray

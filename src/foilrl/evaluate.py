@@ -60,9 +60,13 @@ class EvalRecord:
     termination_reason: str
     nominal_solver_cost_s: float
     wall_time_s: float
-    converged: bool
     inference_s: float = float("nan")  # policy forward passes, part of wall_time_s
     best_params: np.ndarray | None = None  # the design at the best step
+
+    @property
+    def converged(self) -> bool:
+        """Whether the initial solve converged; only then do the ratios mean anything."""
+        return self.termination_reason != "initial_solve_failed"
 
 
 @dataclass
@@ -113,7 +117,7 @@ def _roll_episode(
         obs = env.reset(params)
     except ResetError:
         initial_ratio = best_ratio = mt_initial = mt_at_best = inference_s = float("nan")
-        length, reason, converged, best_params = 0, "initial_solve_failed", False, None
+        length, reason, best_params = 0, "initial_solve_failed", None
     else:
         initial_ratio = env.state.prev_term  # kappa = 1 for the high-fidelity solver
         mt_initial = env.state.mt0
@@ -122,7 +126,7 @@ def _roll_episode(
         best_params = env.state.params
         if on_step is not None:
             on_step(env.state, None)
-        length, inference_s, converged = 0, 0.0, True
+        length, inference_s = 0, 0.0
         while True:
             t0 = time.perf_counter()
             mean = checkpoint.actor.mean(obs[None, :])[0]
@@ -158,7 +162,6 @@ def _roll_episode(
         nominal_solver_cost_s=nominal_cost_s(env.solver.calls - calls_before,
                                              env.solver.cfg.nominal_cost_ms),
         wall_time_s=time.perf_counter() - start,
-        converged=converged,
         inference_s=inference_s,
         best_params=best_params,
     )
@@ -221,8 +224,7 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
                 raise ContractViolation(f"{path}: missing column {column}")
         try:
             return [EvalRecord(**{c: cast[c](row[c]) for c in RECORD_COLUMNS},
-                               wall_time_s=float("nan"),
-                               converged=row["termination_reason"] != "initial_solve_failed")
+                               wall_time_s=float("nan"))
                     for row in reader]
         except (TypeError, ValueError) as exc:  # a short row gives None, a bad number ValueError
             raise ContractViolation(f"{path} line {reader.line_num}: {exc}") from None

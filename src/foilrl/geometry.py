@@ -64,9 +64,6 @@ class ParamBounds:
         # Same values as np.clip, without its dispatch cost on 18 components.
         return np.minimum(np.maximum(vec, self.lower), self.upper)
 
-    def contains(self, vec: np.ndarray) -> bool:
-        return bool(np.all(vec >= self.lower) and np.all(vec <= self.upper))
-
 
 def default_bounds() -> ParamBounds:
     """Bounds used by the environments (per-surface weights, TE gap, LE weight)."""
@@ -94,31 +91,6 @@ class CstParams:
         if vec.shape != (N_PARAMS,):
             raise InvalidParams(f"expected {N_PARAMS} parameters, got shape {vec.shape}")
         object.__setattr__(self, "vector", vec)
-
-    @classmethod
-    def from_parts(cls, upper, lower, te_thickness: float, le_weight: float) -> "CstParams":
-        vec = np.concatenate([
-            np.asarray(upper, dtype=float),
-            np.asarray(lower, dtype=float),
-            [float(te_thickness), float(le_weight)],
-        ])
-        return cls(vec)
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.vector[IDX_UPPER]
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.vector[IDX_LOWER]
-
-    @property
-    def trailing_edge_thickness(self) -> float:
-        return float(self.vector[IDX_TE])
-
-    @property
-    def leading_edge_weight(self) -> float:
-        return float(self.vector[IDX_LE])
 
 
 @dataclass(frozen=True)
@@ -182,7 +154,7 @@ def _le_term(x: np.ndarray) -> np.ndarray:
     return x * (1.0 - x) ** _LE_EXPONENT
 
 
-def cst_to_geometry(params: CstParams | np.ndarray, n_stations: int = 200) -> AirfoilGeometry:
+def cst_to_geometry(params: CstParams | np.ndarray, n_stations: int) -> AirfoilGeometry:
     """Evaluate the parameterization on cosine-spaced stations.
 
     Upper and lower surfaces are class function times Bernstein shape

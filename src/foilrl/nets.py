@@ -35,6 +35,11 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 CHECKPOINT_MAGIC = b"FOILCKP1"
 CHECKPOINT_VERSION = 2
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 _ALIGN = 64  # bytes: one cache line, one AVX-512 load
 
 
@@ -264,9 +269,6 @@ def adam_step(
     state: AdamState,
     lr: float,
     frozen: list[bool] | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     run=None,
 ) -> None:
     """In-place Adam with bias correction. Frozen tensors are left untouched.
@@ -286,8 +288,8 @@ def adam_step(
             raise ShapeError(f"gradient or moment shapes {grad.shape}, {m.shape}, {v.shape} "
                              f"!= parameter {tensor.shape}")
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     offsets = [0, *itertools.accumulate(m.size for m in state.m)]
 
     def update(lo: int, hi: int) -> None:
@@ -300,18 +302,18 @@ def adam_step(
             # m = beta1 m + (1 - beta1) g; v = beta2 v + (1 - beta2) g**2;
             # step = lr (m / c1) / (sqrt(v / c2) + eps): one numpy operation each.
             g = np.concatenate([grads[k].ravel() for k in ks])
-            step = np.multiply(g, 1.0 - beta1)
-            m *= beta1
+            step = np.multiply(g, 1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
             m += step
             np.multiply(g, g, out=step)
-            step *= 1.0 - beta2
-            v *= beta2
+            step *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += step
             np.divide(m, c1, out=step)
             step *= lr
             np.divide(v, c2, out=g)
             np.sqrt(g, out=g)
-            g += eps
+            g += ADAM_EPS
             step /= g
             for k in ks:
                 tensor = tensors[k]
@@ -582,7 +584,8 @@ def export_weights(ckpt: AgentCheckpoint, path: str | Path) -> None:
     """The network tensors, each in its memory order, and the recorded fields, as an `.npz`."""
     arrays = {name.replace(".", "_"): tensor for name, tensor in _named_tensors(ckpt)}
     meta = {key: getattr(ckpt, key) for key in _RECORDED}
-    np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
+    with open(path, "wb") as fh:  # np.savez given a path would add `.npz` to a bare name
+        np.savez(fh, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 
 def import_weights(path: str | Path) -> AgentCheckpoint:

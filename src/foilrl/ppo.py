@@ -367,13 +367,12 @@ def ppo_update(
 class TrainResult:
     checkpoint: AgentCheckpoint
     log_rows: list[dict]
-    total_steps: int
     solver_calls: int
 
 
-def build_agent(rng: np.random.Generator, obs_dim: int = 18, act_dim: int = 18):
-    actor = policy_init([obs_dim] + HIDDEN_SIZES + [act_dim], rng)
-    critic = mlp_init([obs_dim] + HIDDEN_SIZES + [1], rng)
+def build_agent(rng: np.random.Generator):
+    actor = policy_init([N_PARAMS] + HIDDEN_SIZES + [N_PARAMS], rng)
+    critic = mlp_init([N_PARAMS] + HIDDEN_SIZES + [1], rng)
     return actor, critic
 
 
@@ -451,7 +450,7 @@ def train(
         save_checkpoint(checkpoint_path, ckpt)
     if log_path is not None:
         write_training_log(log_path, log_rows)
-    return TrainResult(ckpt, log_rows, steps_done, solver_calls)
+    return TrainResult(ckpt, log_rows, solver_calls)
 
 
 def write_training_log(path: str | Path, rows: list[dict]) -> None:

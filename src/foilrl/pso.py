@@ -109,7 +109,7 @@ def make_aero_fitness(
     solver: CountingSolver,
     mt0: float | None,
     tolerance: float | None,
-    geometry_stations: int = 128,
+    geometry_stations: int,
 ) -> Callable[[np.ndarray], float]:
     """kappa * cl/cd fitness with infeasibility rejection; failures score -inf.
 
@@ -136,10 +136,9 @@ def pso_optimize_airfoil(
     solver: CountingSolver,
     config: PsoConfig,
     rng: np.random.Generator,
-    bounds: ParamBounds | None = None,
 ) -> PsoResult:
     """Swarm search seeded at a fitted airfoil, optionally thickness-constrained."""
-    bounds = bounds or default_bounds()
+    bounds = default_bounds()
     vec = seed.vector if isinstance(seed, CstParams) else np.asarray(seed, dtype=float)
     vec = bounds.clamp(vec)
     mt0 = None

@@ -12,7 +12,6 @@ from foilrl.aero import (
     FlowConditions,
     SolverConfig,
     high_fidelity_config,
-    lift_drag_ratio,
     low_fidelity_config,
     plausibility_score,
     solve_high_fidelity,
@@ -25,10 +24,10 @@ from foilrl.aero import (
     _gradient,
     _march_boundary_layer,
     _surrogate_grid,
-    _trapezoid,
+    _trapezoid_widths,
 )
 from foilrl.env import RESET_POOL_NAMES
-from foilrl.errors import ContractViolation, GeometryRejected, InvalidParams
+from foilrl.errors import GeometryRejected, InvalidParams
 from foilrl.geometry import (
     AirfoilGeometry,
     cosine_stations,
@@ -65,6 +64,10 @@ class TestFlowConditions:
     def test_supercritical_mach_rejected(self):
         with pytest.raises(InvalidParams):
             FlowConditions(mach=0.8)
+
+    def test_nonpositive_reynolds_rejected(self):
+        with pytest.raises(InvalidParams, match="reynolds"):
+            FlowConditions(reynolds=0.0)
 
 
 class TestSolverConfig:
@@ -145,6 +148,46 @@ class TestHighFidelity:
             assert result.converged and result.cd > 0
 
 
+class TestHighFidelityFailures:
+    """Each way the panel solve or the drag model can fail gives the one unconverged result."""
+
+    FAILED = AeroResult(None, None, 1.0, False)
+    CFG = high_fidelity_config(panel_count=96)
+
+    @pytest.fixture
+    def geom(self):
+        geom = cst_to_geometry(fitted("2412"), self.CFG.geometry_stations)
+        assert solve_high_fidelity(geom, INCOMPRESSIBLE, self.CFG).converged
+        return geom
+
+    def test_singular_system(self, geom, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(aero, "_linear_vortex_solution", singular)
+        assert solve_high_fidelity(geom, INCOMPRESSIBLE, self.CFG) == self.FAILED
+
+    def test_nonfinite_vortex_strengths(self, geom, monkeypatch):
+        solve = aero._linear_vortex_solution
+
+        def nan_gamma(*args):
+            gamma, v_t, s = solve(*args)
+            gamma[3] = np.nan
+            return gamma, v_t, s
+
+        monkeypatch.setattr(aero, "_linear_vortex_solution", nan_gamma)
+        assert solve_high_fidelity(geom, INCOMPRESSIBLE, self.CFG) == self.FAILED
+
+    @pytest.mark.parametrize("cd", [None, np.nan, 0.0])
+    def test_failed_drag_model(self, cd, geom, monkeypatch):
+        monkeypatch.setattr(aero, "_profile_drag", lambda *args: cd)
+        assert solve_high_fidelity(geom, INCOMPRESSIBLE, self.CFG) == self.FAILED
+
+    def test_timeout(self, geom):
+        cfg = high_fidelity_config(panel_count=96, timeout_s=1e-12)
+        assert solve_high_fidelity(geom, INCOMPRESSIBLE, cfg) == self.FAILED
+
+
 class TestLowFidelity:
     def test_flat_plate_exact_thin_airfoil(self):
         geom = cst_to_geometry(np.zeros(18), 200)
@@ -188,6 +231,18 @@ class TestLowFidelity:
         with pytest.raises(InvalidParams):
             solve_low_fidelity(AirfoilGeometry(x, y, -np.abs(y)), INCOMPRESSIBLE)
 
+    def test_few_stations_skip_the_curvature_and_pinch_terms(self):
+        # No station lies in (0.1, 0.9), where curvature is scored, nor in
+        # (0.1, 0.95), where the pinch is; only the camber term is left.
+        x = np.array([0.0, 0.05, 0.97, 1.0])
+        thin = np.array([0.0, 0.02, 0.01, 0.0])
+        assert plausibility_score(AirfoilGeometry(x, thin, -thin)) == 1.0
+        upper = np.array([0.0, 0.2, 0.15, 0.0])
+        lower = np.array([0.0, 0.1, 0.1, 0.0])
+        camber_excess = (0.15 - 0.105 + 0.125 - 0.105) / 4
+        assert plausibility_score(AirfoilGeometry(x, upper, lower)) == pytest.approx(
+            np.exp(-60.0 * camber_excess), rel=1e-12)
+
     def test_reset_pool_scores_high_confidence(self):
         from foilrl.env import load_reset_pool
 
@@ -197,22 +252,12 @@ class TestLowFidelity:
 
 
 class TestLiftDragRatio:
-    def test_arithmetic(self):
-        assert lift_drag_ratio(AeroResult(0.5, 0.005, 1.0, True)) == pytest.approx(100.0)
-
-    def test_zero_lift(self):
-        assert lift_drag_ratio(AeroResult(0.0, 0.01, 1.0, True)) == 0.0
-
     def test_closed_form_pair(self):
         # flat-plate surrogate values recomputed by hand from the two formulas
         cl = 2.0 * np.pi * np.sin(np.radians(2.0))
         cd = 2.0 * _flat_plate_cf(1e6)  # zero-thickness form factor is 1
         result = solve_low_fidelity(cst_to_geometry(np.zeros(18), 200), INCOMPRESSIBLE)
-        assert lift_drag_ratio(result) == pytest.approx(cl / cd, rel=1e-12)
-
-    def test_unconverged_is_contract_violation(self):
-        with pytest.raises(ContractViolation):
-            lift_drag_ratio(AeroResult(None, None, 1.0, False))
+        assert result.cl / result.cd == pytest.approx(cl / cd, rel=1e-12)
 
 
 class TestCountingSolver:
@@ -223,6 +268,10 @@ class TestCountingSolver:
             solver(geom)
         assert solver.calls == 5
         assert solver.nominal_cost_s == pytest.approx(5 * 4.0 / 1000.0)
+
+    def test_unknown_fidelity_rejected(self):
+        with pytest.raises(InvalidParams, match="unknown fidelity 'medium'"):
+            CountingSolver("medium")
 
 
 def _reference_low_fidelity(geom: AirfoilGeometry, flow: FlowConditions):
@@ -316,7 +365,7 @@ class TestLeanKernels:
         rng = np.random.default_rng(7)
         for x in (cosine_stations(81), np.cumsum(rng.uniform(1e-3, 1.0, 50))):
             y = rng.standard_normal(x.size)
-            assert _trapezoid(y, x) == np.trapezoid(y, x)
+            assert _trapezoid_widths(y, x[1:] - x[:-1]) == np.trapezoid(y, x)
 
 
 # The per-interval boundary-layer march that the flattened one replaced, kept

@@ -2,9 +2,11 @@ import csv
 import json
 import os
 import platform
+import runpy
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -191,6 +193,18 @@ class TestPsoCommand:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_module_run_as_a_script_exits_with_the_command_code(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setattr(sys, "argv", ["foilrl", "pso", "--airfoil",
+                                          str(tmp_path / "missing.dat"),
+                                          "--out", str(tmp_path / "out")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # foilrl.cli is already imported
+            with pytest.raises(SystemExit) as exit_:
+                runpy.run_module("foilrl.cli", run_name="__main__")
+        assert exit_.value.code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCompare:
     def test_identical_records_tie(self, trained, tmp_path, fast_config):
@@ -270,6 +284,18 @@ class TestWeightsRoundTrip:
         np.testing.assert_array_equal(forward(a.critic, x), forward(b.critic, x))
         assert b.train_steps == a.train_steps
         assert b.sigma == a.sigma
+
+    def test_out_without_suffix_is_written_as_named(self, trained, tmp_path, capsys):
+        weights = tmp_path / "w"
+        assert main(["export-weights", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                     "--out", str(weights)]) == 0
+        assert capsys.readouterr().out == f"exported weights to {weights}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w"]
+        rebuilt = tmp_path / "rebuilt.ckpt"
+        assert main(["import-weights", "--weights", str(weights), "--out", str(rebuilt)]) == 0
+        x = np.random.default_rng(1).standard_normal((4, 18))
+        np.testing.assert_array_equal(forward(load_checkpoint(rebuilt).actor.net, x),
+                                      forward(load_checkpoint(trained / "checkpoint.ckpt").actor.net, x))
 
 
 class TestConfigKeys:
@@ -855,7 +881,7 @@ class TestFlagsEachCommandReads:
     def test_compare_svg_without_config(self, tmp_path):
         records = tmp_path / "records.csv"
         write_records_csv(records, [EvalRecord("naca0012", 50.0, 80.0, 30.0, 0.12, 0.12, 0.0,
-                                               3, "max_steps", 0.2, 0.1, True)])
+                                               3, "max_steps", 0.2, 0.1)])
         sweeps = []
         for k, (sig, dmt, best) in enumerate([(0, 64, 241), (15, 12, 180), (30, 20, 170)]):
             p = tmp_path / f"s{k}.json"
@@ -995,7 +1021,7 @@ class TestCompareChecksItsInputs:
     def records(self, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(path, [EvalRecord("naca0012", 50.0, 80.0, 30.0, 0.12, 0.12, 0.0,
-                                            3, "max_steps", 0.2, 0.1, True)])
+                                            3, "max_steps", 0.2, 0.1)])
         return path
 
     @staticmethod

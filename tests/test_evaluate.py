@@ -35,7 +35,6 @@ def record(name="x", initial=50.0, best=100.0, mt0=0.12, mt_b=0.12, converged=Tr
         termination_reason=reason if converged else "initial_solve_failed",
         nominal_solver_cost_s=1.0,
         wall_time_s=0.5,
-        converged=converged,
     )
 
 

@@ -52,6 +52,10 @@ class TestBounds:
         with pytest.raises(InvalidParams):
             ParamBounds(BOUNDS.upper, BOUNDS.lower)
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(InvalidParams):
+            ParamBounds(BOUNDS.lower[:-1], BOUNDS.upper[:-1])
+
 
 class TestCstToGeometry:
     def test_zero_params_give_flat_plate(self):
@@ -66,7 +70,7 @@ class TestCstToGeometry:
     def test_mirrored_params_give_symmetric_airfoil(self):
         rng = np.random.default_rng(11)
         w = rng.uniform(0.05, 0.4, 8)
-        params = CstParams.from_parts(w, -w, te_thickness=0.002, le_weight=0.0)
+        params = CstParams(np.concatenate([w, -w, [0.002, 0.0]]))
         geom = cst_to_geometry(params, 100)
         np.testing.assert_allclose(geom.y_upper, -geom.y_lower, atol=1e-14)
 
@@ -81,6 +85,10 @@ class TestCstToGeometry:
         bad[3] = np.nan
         with pytest.raises(InvalidParams):
             cst_to_geometry(bad, 64)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(InvalidParams):
+            cst_to_geometry(np.zeros(N_PARAMS - 1), 64)
 
     def test_rejects_too_few_stations(self):
         with pytest.raises(InvalidParams):
@@ -168,6 +176,18 @@ class TestMaxThickness:
         t_fine = max_thickness(cst_to_geometry(params, 400))
         assert abs(t_coarse - t_fine) < 1e-4
 
+    @pytest.mark.parametrize("x, t", [
+        # two stations at one x: no parabola
+        ([0.0, 0.3, 0.3, 1.0, 1.0], [0.0, 0.05, 0.1, 0.09, 0.0]),
+        # the peak station lies beyond both neighbours: the parabola is not concave
+        ([0.0, 0.2, 0.5, 0.45, 1.0], [0.0, 0.05, 0.1, 0.02, 0.0]),
+        # concave, but the vertex lies outside the three stations
+        ([0.0, 0.2, 0.5, 0.4, 1.0], [0.0, 0.05, 0.1, 0.09, 0.0]),
+    ])
+    def test_parabola_falls_back_to_the_peak_station(self, x, t):
+        t = np.array(t)
+        assert max_thickness(AirfoilGeometry(np.array(x), 0.5 * t, -0.5 * t)) == 0.1
+
 
 class TestIsValid:
     def test_naca0012_is_valid(self):
@@ -213,13 +233,31 @@ class TestFit:
         fitted, _ = fit_cst(geometry_to_selig(cst_to_geometry(p, 200)), BOUNDS)
         assert np.abs(fitted.vector - p).max() < 1e-5
 
+    def test_leading_edge_at_an_end_of_the_loop_rejected(self):
+        coords = naca.coordinates("0012", 31)
+        rolled = np.roll(coords, -int(np.argmin(coords[:, 0])) + 1, axis=0)
+        with pytest.raises(FitError, match="cannot split surfaces"):
+            fit_cst(rolled, BOUNDS)
+
+    def test_nonfinite_coordinates_rejected(self):
+        coords = naca.coordinates("0012", 31)
+        coords[5, 1] = np.inf
+        with pytest.raises(FitError, match="finite"):
+            fit_cst(coords, BOUNDS)
+
+    def test_zero_chord_rejected(self):
+        coords = naca.coordinates("0012", 31)
+        coords[:, 0] = 0.5
+        with pytest.raises(FitError, match="degenerate chord"):
+            fit_cst(coords, BOUNDS)
+
     def test_three_points_rejected(self):
         with pytest.raises(FitError):
             fit_cst(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, -0.01]]), BOUNDS)
 
     def test_result_respects_bounds(self):
         params, _ = fit_cst(naca.coordinates("9421", 101), BOUNDS)
-        assert BOUNDS.contains(params.vector)
+        assert np.all(params.vector >= BOUNDS.lower) and np.all(params.vector <= BOUNDS.upper)
 
 
 class TestDatParsing:
@@ -249,16 +287,32 @@ class TestDatParsing:
         with pytest.raises(FitError):
             read_dat(tmp_path / "bad.dat")
 
+    def test_file_without_a_name_line_is_named_by_its_stem(self, tmp_path):
+        coords = naca.coordinates("2412", 31)
+        (tmp_path / "bare.dat").write_text("".join(f"{x:.6f} {y:.6f}\n" for x, y in coords))
+        name, parsed = read_dat(tmp_path / "bare.dat")
+        assert name == "bare"
+        np.testing.assert_allclose(parsed, coords, atol=5e-7)
+
+    def test_lednicer_counts_that_disagree_with_the_points(self, tmp_path):
+        lines = ["EXAMPLE AIRFOIL", "      21.     21."]
+        lines += [f"{x:.6f} 0.0" for x in np.linspace(0.0, 1.0, 40)]
+        (tmp_path / "l.dat").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FitError, match="point counts disagree"):
+            read_dat(tmp_path / "l.dat")
+
 
 class TestCstParams:
-    def test_canonical_ordering(self):
-        vec = np.arange(18.0)
-        p = CstParams(vec)
-        assert np.all(p.upper == vec[:8])
-        assert np.all(p.lower == vec[8:16])
-        assert p.trailing_edge_thickness == 16.0
-        assert p.leading_edge_weight == 17.0
-
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidParams):
             CstParams(np.zeros(17))
+
+
+class TestNacaCodes:
+    def test_parse_code(self):
+        assert naca.parse_code("NACA2412") == (0.02, 0.4, 0.12)
+
+    @pytest.mark.parametrize("code", ["23012", "naca24x2", "412"])
+    def test_rejects_a_code_that_is_not_four_digits(self, code):
+        with pytest.raises(ValueError, match="not a 4-digit NACA code"):
+            naca.parse_code(code)

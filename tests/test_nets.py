@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foilrl import nets
 from foilrl.errors import ContractViolation, ShapeError
 from foilrl.nets import (
     AdamState,
@@ -253,6 +254,43 @@ class TestAdam:
         state = AdamState.for_tensors(params)
         with pytest.raises(ShapeError):
             adam_step(params, [np.ones((3, 2))], state, 0.1)
+
+    def test_count_mismatch(self):
+        params = [np.ones((2, 2)), np.ones(2)]
+        state = AdamState.for_tensors(params)
+        with pytest.raises(ShapeError, match="counts disagree"):
+            adam_step(params, [np.ones((2, 2))], state, 0.1)
+        assert state.t == 0
+
+
+class TestBothCores:
+    def test_worker_half_that_raises_reaches_the_caller(self):
+        assert nets._blas_thread_control() is not None  # the worker thread runs
+        with nets.both_cores() as run:
+            with pytest.raises(ZeroDivisionError):
+                run(lambda: 1, lambda: 1 / 0)
+            assert run(lambda: 1, lambda: 2) == (1, 2)  # and the worker serves on
+
+    @pytest.fixture
+    def fresh_lookup(self, monkeypatch):
+        """Monkeypatch, with the BLAS thread control looked up afresh inside the test and after it."""
+        nets._blas_thread_control.cache_clear()
+        yield monkeypatch
+        monkeypatch.undo()
+        nets._blas_thread_control.cache_clear()
+
+    def test_no_control_without_the_symbols(self, fresh_lookup):
+        fresh_lookup.setattr(nets, "_BLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))
+        assert nets._blas_thread_control() is None
+        with nets.both_cores() as run:
+            assert run(lambda: 1, lambda: 2) == (1, 2)
+
+    def test_no_control_without_the_library(self, fresh_lookup):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        fresh_lookup.setattr(nets.ctypes, "CDLL", missing)
+        assert nets._blas_thread_control() is None
 
 
 class TestFreezeMask:

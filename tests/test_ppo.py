@@ -83,6 +83,8 @@ class TestPresets:
             PpoConfig(clip_range=0.0)
         with pytest.raises(ValueError):
             PpoConfig(n_steps=100, batch_size=64)
+        with pytest.raises(ValueError, match="total_timesteps"):
+            PpoConfig(total_timesteps=-1)
 
 
 class TestGae:
@@ -351,7 +353,7 @@ class TestTrain:
         cfg = EnvConfig(sigma=0.0, fidelity="low", rng_seed=0)
         pcfg = preset("pretrain", total_timesteps=2048)
         result = train(cfg, pcfg, seed=3)
-        assert result.total_steps == 2048
+        assert result.checkpoint.train_steps == 2048
         assert len(result.log_rows) == 1
 
     def test_same_seed_identical_logs(self):
@@ -367,7 +369,7 @@ class TestTrain:
         pcfg = preset("pretrain", total_timesteps=1024, n_steps=256, n_epochs=2, n_envs=2)
         result = train(cfg, pcfg, seed=4)
         # two envs advance 256 steps per update: 2 updates to cover 1024
-        assert result.total_steps == 1024
+        assert result.checkpoint.train_steps == 1024
         assert len(result.log_rows) == 2
         assert result.solver_calls > 1024  # resets included
 
@@ -382,7 +384,7 @@ class TestTrain:
         cfg = EnvConfig(sigma=0.0, fidelity="low", rng_seed=0)
         pcfg = preset("pretrain", total_timesteps=300, n_steps=256, n_epochs=1)
         result = train(cfg, pcfg, seed=4)
-        assert result.total_steps == trained_timesteps(pcfg) == 512
+        assert result.checkpoint.train_steps == trained_timesteps(pcfg) == 512
 
     def test_checkpoint_metadata(self, tmp_path):
         cfg = EnvConfig(sigma=2.5, fidelity="low", rng_seed=0)

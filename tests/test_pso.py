@@ -29,6 +29,10 @@ class TestConfig:
             PsoConfig(swarm_size=0)
         with pytest.raises(ValueError):
             PsoConfig(inertia=0.0)
+        with pytest.raises(ValueError, match="social"):
+            PsoConfig(social=-0.1)
+        with pytest.raises(ValueError, match="thickness_tolerance"):
+            PsoConfig(thickness_tolerance=-0.01)
 
 
 class TestSwarmCore:
@@ -61,7 +65,8 @@ class TestSwarmCore:
         cfg = PsoConfig(swarm_size=12, max_iterations=40)
         seed = BOUNDS.clamp(np.zeros(18))
         result = pso_maximize(sphere, BOUNDS, seed, cfg, np.random.default_rng(2))
-        assert BOUNDS.contains(result.best_params)
+        best = result.best_params
+        assert np.all(best >= BOUNDS.lower) and np.all(best <= BOUNDS.upper)
 
     def test_unsolvable_seed_raises(self):
         cfg = PsoConfig(swarm_size=3, max_iterations=2)
