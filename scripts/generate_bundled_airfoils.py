@@ -4,7 +4,6 @@
 The first 20 names form the environment reset pool; the rest pad the
 bundled evaluation subset with a spread of camber and thickness.
 """
-from pathlib import Path
 
 from foilrl import bundled_airfoil_dir, naca
 from foilrl.env import RESET_POOL_NAMES

@@ -567,6 +567,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FoilRlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation; a bare one has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

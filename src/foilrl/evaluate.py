@@ -290,8 +290,8 @@ def compare_report(
         "drl_wins": sum(1 for r in rows if r["winner"] == "drl"),
         "pso_wins": sum(1 for r in rows if r["winner"] == "pso"),
         "ties": sum(1 for r in rows if r["winner"] == "tie"),
-        "drl": asdict(summarize([r for r in drl_records if r.converged])),
-        "pso": asdict(summarize([r for r in pso_records if r.converged])),
+        "drl": asdict(summarize(drl_records)),
+        "pso": asdict(summarize(pso_records)),
     }
     return rows, aggregate
 

@@ -3,13 +3,15 @@
 Everything the training loop needs and nothing more: tanh MLPs, a
 diagonal-Gaussian policy head with a state-independent log-std vector,
 Adam with per-layer freeze masks, the two-thread runner that PPO's
-update splits its work over, and the two agent files: a versioned
-binary checkpoint with a JSON header and fixed little-endian float64
-payload, and an `.npz` of the network weights. This module alone reads
-and writes both.
+update splits its work over (the calling thread plus a one-thread
+`concurrent.futures` executor that lives for one update), and the two
+agent files: a versioned binary checkpoint with a JSON header and fixed
+little-endian float64 payload, and an `.npz` of the network weights.
+This module alone reads and writes both.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import functools
@@ -17,7 +19,6 @@ import itertools
 import json
 import math
 import struct
-import threading
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -331,47 +332,6 @@ def _one_after_other(here, there):
     return here(), there()
 
 
-class _Worker:
-    """A thread that runs the second of each pair of calls while the caller runs the first."""
-
-    def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = self._outcome = None
-        self._thread = threading.Thread(target=self._serve, name="foilrl-update", daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            try:
-                self._outcome = self._job(), None
-            except BaseException as exc:  # handed back to the caller
-                self._outcome = None, exc
-            self._done.release()
-
-    def __call__(self, here, there):
-        """(here(), there()), with `there` run on the worker meanwhile."""
-        self._job = there
-        self._go.release()
-        try:
-            mine = here()
-        finally:
-            self._done.acquire()
-            (theirs, exc), self._outcome = self._outcome, None
-        if exc is not None:
-            raise exc
-        return mine, theirs
-
-    def close(self):
-        self._job = None
-        self._go.release()
-        self._thread.join()
-
-
 # OpenBLAS's thread-count getter and setter: as numpy's wheels and as a system library name them.
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -399,6 +359,9 @@ def _blas_thread_control():
 def both_cores():
     """A runner `run(here, there) -> (here(), there())` that calls `there` on a second thread.
 
+    The second thread is a one-worker standard-library executor's, started
+    by the first call and shut down (joined) when the block ends, also
+    when it raises. A call returns or raises only once `there` has finished.
     For the length of the block numpy's BLAS is held to one thread, so the
     two threads' products do not fight BLAS's own helper thread for the
     cores; the count it had on entry is restored on the way out, also when
@@ -413,8 +376,15 @@ def both_cores():
     before = get()
     set_(1)
     try:
-        with contextlib.closing(_Worker()) as worker:
-            yield worker
+        with concurrent.futures.ThreadPoolExecutor(1, "foilrl-update") as worker:
+            def run(here, there):
+                theirs = worker.submit(there)
+                try:
+                    return here(), theirs.result()
+                finally:  # `there` never outlives the call, also when `here` raises
+                    concurrent.futures.wait([theirs])
+
+            yield run
     finally:
         set_(before)
 

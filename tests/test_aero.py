@@ -10,7 +10,6 @@ from foilrl.aero import (
     AeroResult,
     CountingSolver,
     FlowConditions,
-    SolverConfig,
     high_fidelity_config,
     low_fidelity_config,
     plausibility_score,

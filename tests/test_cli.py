@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foilrl
-from foilrl import bundled_airfoil_dir, cli, naca
+from foilrl import aero, bundled_airfoil_dir, cli, naca
 from foilrl.cli import main
 from foilrl.errors import UsageError
 from foilrl.evaluate import EvalRecord, write_records_csv
@@ -192,6 +192,22 @@ class TestPsoCommand:
         assert rc == 1
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "error: Unable to allocate 74.5 GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_out_of_memory_is_one_line_error(self, exc, line, dat_file, tmp_path, fast_config,
+                                             monkeypatch, capsys):
+        def no_memory(*args):  # stands in for a panel count too large to allocate
+            raise exc
+
+        monkeypatch.setattr(aero, "_linear_vortex_solution", no_memory)
+        rc = main(["pso", "--airfoil", dat_file, "--swarm", "2", "--iterations", "1",
+                   "--config", fast_config, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == line
 
     def test_module_run_as_a_script_exits_with_the_command_code(self, tmp_path, monkeypatch,
                                                                  capsys):

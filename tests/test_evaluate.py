@@ -208,6 +208,14 @@ class TestCompare:
         rows, aggregate = compare_report(drl, pso)
         assert [r["airfoil"] for r in rows] == ["a"] and aggregate["n_common"] == 1
 
+    def test_each_side_counts_its_unconverged_records(self):
+        drl = [record(name="a"), record(name="b", converged=False), record(name="c")]
+        pso = [record(name="a"), record(name="b"), record(name="c", converged=False),
+               record(name="d", converged=False)]
+        _, aggregate = compare_report(drl, pso)
+        assert aggregate["drl"]["n_evaluated"] == 2 and aggregate["drl"]["n_excluded"] == 1
+        assert aggregate["pso"]["n_evaluated"] == 2 and aggregate["pso"]["n_excluded"] == 2
+
     def test_no_common_converged_airfoil_rejected(self):
         with pytest.raises(EmptyEvalError, match="no common converged airfoils"):
             compare_report([record(name="a"), record(name="b", converged=False)],

@@ -10,7 +10,6 @@ from foilrl.geometry import (
     CstParams,
     N_PARAMS,
     ParamBounds,
-    cosine_stations,
     cst_to_geometry,
     default_bounds,
     fit_cst,

@@ -1,3 +1,5 @@
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,6 @@ from foilrl.nets import (
     AgentCheckpoint,
     FreezeMask,
     Mlp,
-    Policy,
     adam_step,
     backward,
     export_weights,
@@ -270,6 +271,19 @@ class TestBothCores:
             with pytest.raises(ZeroDivisionError):
                 run(lambda: 1, lambda: 1 / 0)
             assert run(lambda: 1, lambda: 2) == (1, 2)  # and the worker serves on
+
+    def test_caller_half_that_raises_waits_for_the_worker_half(self):
+        assert nets._blas_thread_control() is not None  # the worker thread runs
+        finished = threading.Event()
+
+        def there():
+            time.sleep(0.05)
+            finished.set()
+
+        with nets.both_cores() as run:
+            with pytest.raises(ZeroDivisionError):
+                run(lambda: 1 / 0, there)
+            assert finished.is_set()
 
     @pytest.fixture
     def fresh_lookup(self, monkeypatch):

@@ -14,7 +14,6 @@ from foilrl.nets import (
     FreezeMask,
     forward_cached,
     backward,
-    gaussian_entropy,
     gaussian_log_prob,
     load_checkpoint,
     mlp_init,
