@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cores import one_blas_thread
 from .errors import ConfigValueError, GeometryRejected, InvalidParams
 from .geometry import AirfoilGeometry, is_valid, max_thickness, station_grid
 
@@ -43,6 +44,10 @@ _BL_H_SEPARATION = 2.9
 _BL_U_START = 0.3
 _MASSIVE_SEPARATION_X = 0.3
 _SEPARATED_DRAG_GAIN = 0.12
+
+# Influence-matrix rows built per block: the per-pair temporaries of a
+# block at 255 panels take ~130 kB each, against ~520 kB for whole matrices.
+_INFLUENCE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -131,29 +136,22 @@ def _panel_nodes(geom: AirfoilGeometry, n_panels: int) -> tuple[np.ndarray, np.n
     return xs, ys
 
 
-def _linear_vortex_solution(xs, ys, alpha_rad):
-    """Nodal vortex strengths (normalized by 2 pi V) and panel geometry.
+def _influence_rows(lo, hi, xj, yj, xm, ym, s, cos_t, sin_t, an, at):
+    """Write rows lo:hi of the normal (`an`) and tangential (`at`) influence matrices.
 
-    Classic linear-strength formulation: flow tangency at panel midpoints
-    plus the Kutta condition tying the two trailing-edge node strengths.
-    sin and cos of theta_i - theta_j come from angle addition on per-panel
-    values, and angle addition also turns the theta_i - 2 theta_j terms
-    into p = -(a c + d e) and q = c e - a d, so log1p and arctan2 are the
-    only transcendentals evaluated per panel pair. Arrays are dropped as
-    soon as they are spent to keep the m^2 working set small.
+    Row i holds the velocity that each node's unit vortex strength induces
+    at panel i's midpoint. Node k gets the first-node coefficient of panel
+    k and the last-node coefficient of panel k - 1. Every operation is
+    elementwise per panel pair, so a row's bits do not depend on which
+    block computes it. sin and cos of theta_i - theta_j come from angle
+    addition on per-panel values, and angle addition also turns the
+    theta_i - 2 theta_j terms into p = -(a c + d e) and q = c e - a d, so
+    log1p and arctan2 are the only transcendentals evaluated per panel
+    pair. Arrays are dropped as soon as they are spent.
     """
-    xj, yj = xs[:-1], ys[:-1]
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    s = np.hypot(dx, dy)
-    theta = np.arctan2(dy, dx)
-    xm = xj + 0.5 * dx
-    ym = yj + 0.5 * dy
     m = s.size
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-    rx = xm[:, None] - xj[None, :]
-    ry = ym[:, None] - yj[None, :]
+    rx = xm[lo:hi, None] - xj[None, :]
+    ry = ym[lo:hi, None] - yj[None, :]
     sj = s[None, :]
 
     a = -rx * cos_t - ry * sin_t
@@ -164,10 +162,10 @@ def _linear_vortex_solution(xs, ys, alpha_rad):
         f = np.log1p(sj * (sj + 2.0 * a) / b)
         g = np.arctan2(e * sj, b + a * sj)
     del b
-    c = np.multiply.outer(sin_t, cos_t)
-    c -= np.multiply.outer(cos_t, sin_t)
-    d = np.multiply.outer(cos_t, cos_t)
-    d += np.multiply.outer(sin_t, sin_t)
+    c = np.multiply.outer(sin_t[lo:hi], cos_t)
+    c -= np.multiply.outer(cos_t[lo:hi], sin_t)
+    d = np.multiply.outer(cos_t[lo:hi], cos_t)
+    d += np.multiply.outer(sin_t[lo:hi], sin_t)
     p = -(a * c + d * e)
     q = c * e - a * d
     del a, e
@@ -179,26 +177,50 @@ def _linear_vortex_solution(xs, ys, alpha_rad):
         ct1 = 0.5 * c * f - d * g - ct2
     del c, d, f, g
 
-    np.fill_diagonal(cn1, -1.0)
-    np.fill_diagonal(cn2, 1.0)
-    np.fill_diagonal(ct1, 0.5 * np.pi)
-    np.fill_diagonal(ct2, 0.5 * np.pi)
+    # A panel's own midpoint: the self-induced values.
+    own = (np.arange(hi - lo), np.arange(lo, hi))
+    cn1[own] = -1.0
+    cn2[own] = 1.0
+    ct1[own] = 0.5 * np.pi
+    ct2[own] = 0.5 * np.pi
 
-    # Node k gets the first-node coefficient of panel k and the last-node
-    # coefficient of panel k - 1.
+    an[lo:hi, :m] = cn1
+    an[lo:hi, 1:] += cn2
+    at[lo:hi, :m] = ct1
+    at[lo:hi, 1:] += ct2
+
+
+def _linear_vortex_solution(xs, ys, alpha_rad):
+    """Nodal vortex strengths (normalized by 2 pi V) and panel geometry.
+
+    Classic linear-strength formulation: flow tangency at panel midpoints
+    plus the Kutta condition tying the two trailing-edge node strengths.
+    The influence matrices are built `_INFLUENCE_ROWS` rows at a time, so
+    the per-pair temporaries stay small. The LU and the tangential product
+    run at one BLAS thread, whose results do not depend on the core count.
+    """
+    xj, yj = xs[:-1], ys[:-1]
+    dx = np.diff(xs)
+    dy = np.diff(ys)
+    s = np.hypot(dx, dy)
+    theta = np.arctan2(dy, dx)
+    xm = xj + 0.5 * dx
+    ym = yj + 0.5 * dy
+    m = s.size
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+
     an = np.zeros((m + 1, m + 1))
-    an[:m, :m] = cn1
-    an[:m, 1:] += cn2
+    at = np.zeros((m, m + 1))
+    for lo in range(0, m, _INFLUENCE_ROWS):
+        _influence_rows(lo, min(lo + _INFLUENCE_ROWS, m), xj, yj, xm, ym, s, cos_t, sin_t, an, at)
     an[m, 0] = 1.0
     an[m, m] = 1.0
-    at = np.zeros((m, m + 1))
-    at[:, :m] = ct1
-    at[:, 1:] += ct2
 
     rhs = np.zeros(m + 1)
     rhs[:m] = np.sin(theta - alpha_rad)
-    gamma = np.linalg.solve(an, rhs)
-    v_t = np.cos(theta - alpha_rad) + at @ gamma
+    with one_blas_thread():
+        gamma = np.linalg.solve(an, rhs)
+        v_t = np.cos(theta - alpha_rad) + at @ gamma
     return gamma, v_t, s
 
 

@@ -11,6 +11,7 @@ ratio, and the thickness deviation and the design are taken there too.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import json
 import logging
@@ -22,6 +23,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .aero import nominal_cost_s
+from .cores import both_cores
 from .env import AirfoilEnv, EnvConfig, EnvState
 from .errors import ContractViolation, EmptyEvalError, FitError, ResetError
 from .geometry import CstParams, fit_cst, read_dat
@@ -174,17 +176,38 @@ def evaluate_policy(
     deterministic: bool = True,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[EvalRecord], EvalSummary]:
-    """One episode per airfoil; never raises on per-airfoil failures."""
+    """One episode per airfoil; never raises on per-airfoil failures.
+
+    Mean-action episodes run on both cores (`cores.both_cores`), each
+    thread with its own environment, taking the next airfoil in name order
+    as it finishes one; a record does not depend on which thread rolled it.
+    Sampled episodes draw from one random stream in airfoil order, so they
+    run one after another on this thread.
+    """
     if env_config.fidelity != "high":
         raise ValueError("evaluation metrics must come from the high-fidelity solver")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    env = AirfoilEnv(env_config, np.random.default_rng(0))
-    records = []
-    for name, params, _residual in sorted(dataset, key=lambda e: e[0]):
-        record = _roll_episode(env, checkpoint, params, deterministic, rng)
-        record.airfoil = name
-        records.append(record)
+    entries = sorted(dataset, key=lambda e: e[0])
+    records: list[EvalRecord | None] = [None] * len(entries)
+    todo = iter(enumerate(entries))
+
+    def roll_rest() -> None:
+        env = AirfoilEnv(env_config, np.random.default_rng(0))
+        try:
+            for k, (name, params, _residual) in todo:
+                record = _roll_episode(env, checkpoint, params, deterministic, rng)
+                record.airfoil = name
+                records[k] = record
+        except BaseException:
+            collections.deque(todo, maxlen=0)  # the other thread takes no further airfoil
+            raise
+
+    if deterministic:
+        with both_cores() as run:
+            run(roll_rest, roll_rest)
+    else:
+        roll_rest()
     return records, summarize(records)
 
 

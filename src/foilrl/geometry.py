@@ -215,6 +215,8 @@ def is_valid(geom: AirfoilGeometry) -> tuple[bool, str]:
     arrays = (geom.x, geom.y_upper, geom.y_lower)
     if not all(np.all(np.isfinite(a)) for a in arrays):
         return False, "non-finite"
+    if np.any(geom.x[1:] <= geom.x[:-1]):  # the solver interpolates on the stations
+        return False, "non-increasing-stations"
     gap = geom.y_upper - geom.y_lower
     if np.any(gap[1:-1] < -CROSSING_TOL):
         return False, "crossing"

@@ -2,19 +2,13 @@
 
 Everything the training loop needs and nothing more: tanh MLPs, a
 diagonal-Gaussian policy head with a state-independent log-std vector,
-Adam with per-layer freeze masks, the two-thread runner that PPO's
-update splits its work over (the calling thread plus a one-thread
-`concurrent.futures` executor that lives for one update), and the two
-agent files: a versioned binary checkpoint with a JSON header and fixed
-little-endian float64 payload, and an `.npz` of the network weights.
+Adam with per-layer freeze masks, and the two agent files: a versioned
+binary checkpoint with a JSON header and fixed little-endian float64
+payload, and an `.npz` of the network weights.
 This module alone reads and writes both.
 """
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
-import ctypes
-import functools
 import itertools
 import json
 import math
@@ -276,7 +270,7 @@ def adam_step(
 
     Each run of consecutive unfrozen tensors is updated as one flat array.
     Every operation is elementwise, so the bits do not depend on that
-    grouping, nor on `run` (see `both_cores`), whose worker thread updates
+    grouping, nor on `run` (see `cores.both_cores`), whose worker thread updates
     the later tensors while this thread updates about as many elements of
     the earlier ones.
     """
@@ -326,67 +320,6 @@ def adam_step(
         live = [0, *itertools.accumulate(0 if skip else m.size for m, skip in zip(state.m, frozen))]
         cut = min(range(len(live)), key=lambda k: abs(2 * live[k] - live[-1]))
         run(lambda: update(0, cut), lambda: update(cut, len(tensors)))
-
-
-def _one_after_other(here, there):
-    return here(), there()
-
-
-# OpenBLAS's thread-count getter and setter: as numpy's wheels and as a system library name them.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_thread_control():
-    """(get, set) of the thread count of numpy's own BLAS, or None when it exports neither pair."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def both_cores():
-    """A runner `run(here, there) -> (here(), there())` that calls `there` on a second thread.
-
-    The second thread is a one-worker standard-library executor's, started
-    by the first call and shut down (joined) when the block ends, also
-    when it raises. A call returns or raises only once `there` has finished.
-    For the length of the block numpy's BLAS is held to one thread, so the
-    two threads' products do not fight BLAS's own helper thread for the
-    cores; the count it had on entry is restored on the way out, also when
-    the block raises. Where numpy's BLAS has no thread control, the runner
-    calls the two one after the other on this thread.
-    """
-    control = _blas_thread_control()
-    if control is None:
-        yield _one_after_other
-        return
-    get, set_ = control
-    before = get()
-    set_(1)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(1, "foilrl-update") as worker:
-            def run(here, there):
-                theirs = worker.submit(there)
-                try:
-                    return here(), theirs.result()
-                finally:  # `there` never outlives the call, also when `here` raises
-                    concurrent.futures.wait([theirs])
-
-            yield run
-    finally:
-        set_(before)
 
 
 @dataclass

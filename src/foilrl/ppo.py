@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cores import both_cores
 from .env import AirfoilEnv, EnvConfig, StepReason, normalize_observation
 from .errors import ConfigValueError, ShapeError, TrainingDiverged
 from .geometry import N_PARAMS
@@ -26,7 +27,6 @@ from .nets import (
     Policy,
     adam_step,
     backward,
-    both_cores,
     forward_cached,
     gaussian_entropy,
     gaussian_log_prob,
@@ -310,7 +310,7 @@ def ppo_update(
 
     Each minibatch's actor and critic halves (forward, loss, backward and
     the clip norm's squares) and its Adam step run on two threads
-    (`nets.both_cores`), with the same bits as on one.
+    (`cores.both_cores`), with the same bits as on one.
     """
     if buffer.advantages is None:
         compute_gae(buffer, config.gamma, config.gae_lambda)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foilrl import aero, bundled_airfoil_dir, naca
+from foilrl import aero, bundled_airfoil_dir, cores, naca
 from foilrl.aero import (
     AeroResult,
     CountingSolver,
@@ -185,6 +185,132 @@ class TestHighFidelityFailures:
     def test_timeout(self, geom):
         cfg = high_fidelity_config(panel_count=96, timeout_s=1e-12)
         assert solve_high_fidelity(geom, INCOMPRESSIBLE, cfg) == self.FAILED
+
+    def test_stations_out_of_order_rejected(self):
+        # `_resample` interpolates on the stations, which is undefined unless they increase.
+        geom = cst_to_geometry(fitted("2412"), 81)
+        order = np.arange(81)
+        order[[40, 41]] = [41, 40]
+        swapped = AirfoilGeometry(geom.x[order], geom.y_upper[order], geom.y_lower[order])
+        assert is_valid(swapped) == (False, "non-increasing-stations")
+        with pytest.raises(GeometryRejected, match="non-increasing-stations"):
+            solve_high_fidelity(swapped, INCOMPRESSIBLE, high_fidelity_config(panel_count=160))
+
+
+def _reference_influence(xs, ys):
+    """The whole-matrix assembly that `_influence_rows` replaced: (an, at) in one pass."""
+    xj, yj = xs[:-1], ys[:-1]
+    dx, dy = np.diff(xs), np.diff(ys)
+    s = np.hypot(dx, dy)
+    theta = np.arctan2(dy, dx)
+    xm, ym = xj + 0.5 * dx, yj + 0.5 * dy
+    m = s.size
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    rx = xm[:, None] - xj[None, :]
+    ry = ym[:, None] - yj[None, :]
+    sj = s[None, :]
+    a = -rx * cos_t - ry * sin_t
+    e = rx * sin_t - ry * cos_t
+    b = rx**2 + ry**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.log1p(sj * (sj + 2.0 * a) / b)
+        g = np.arctan2(e * sj, b + a * sj)
+    c = np.multiply.outer(sin_t, cos_t)
+    c -= np.multiply.outer(cos_t, sin_t)
+    d = np.multiply.outer(cos_t, cos_t)
+    d += np.multiply.outer(sin_t, sin_t)
+    p = -(a * c + d * e)
+    q = c * e - a * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cn2 = d + (0.5 * q * f + p * g) / sj
+        ct2 = c + (0.5 * p * f - q * g) / sj
+        cn1 = 0.5 * d * f + c * g - cn2
+        ct1 = 0.5 * c * f - d * g - ct2
+    np.fill_diagonal(cn1, -1.0)
+    np.fill_diagonal(cn2, 1.0)
+    np.fill_diagonal(ct1, 0.5 * np.pi)
+    np.fill_diagonal(ct2, 0.5 * np.pi)
+    an = np.zeros((m + 1, m + 1))
+    an[:m, :m] = cn1
+    an[:m, 1:] += cn2
+    an[m, 0] = 1.0
+    an[m, m] = 1.0
+    at = np.zeros((m, m + 1))
+    at[:, :m] = ct1
+    at[:, 1:] += ct2
+    return an, at
+
+
+def _blocked_influence(xs, ys, rows):
+    """(an, at) from `_influence_rows`, `rows` rows at a time, with the solver's per-panel inputs."""
+    xj, yj = xs[:-1], ys[:-1]
+    dx, dy = np.diff(xs), np.diff(ys)
+    s = np.hypot(dx, dy)
+    theta = np.arctan2(dy, dx)
+    m = s.size
+    an, at = np.zeros((m + 1, m + 1)), np.zeros((m, m + 1))
+    for lo in range(0, m, rows):
+        aero._influence_rows(lo, min(lo + rows, m), xj, yj, xj + 0.5 * dx, yj + 0.5 * dy, s,
+                             np.cos(theta), np.sin(theta), an, at)
+    an[m, 0] = an[m, m] = 1.0
+    return an, at
+
+
+class TestInfluenceRows:
+    """The row-blocked assembly gives the whole-matrix assembly's bits."""
+
+    @pytest.mark.parametrize("panels,m", [(32, 32), (64, 64), (96, 96), (160, 160), (255, 254)])
+    @pytest.mark.parametrize("code", ["0012", "2412", "8421"])
+    def test_same_bits_as_whole_matrices(self, code, panels, m):
+        xs, ys = aero._panel_nodes(geom_of(code), panels)
+        assert xs.size - 1 == m  # below, at, and not a multiple of the block height
+        an, at = _reference_influence(xs, ys)
+        for rows in (aero._INFLUENCE_ROWS, 1, 7, m):
+            blocked_an, blocked_at = _blocked_influence(xs, ys, rows)
+            np.testing.assert_array_equal(blocked_an, an)
+            np.testing.assert_array_equal(blocked_at, at)
+
+
+class TestOneBlasThread:
+    """The panel solve gives the same bits whatever numpy's BLAS thread count."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        control = cores._blas_thread_control()
+        if control is None:
+            pytest.skip("numpy's BLAS exposes no thread control")
+        get, set_ = control
+        original = get()
+        yield set_
+        set_(original)
+
+    @pytest.mark.parametrize("panels", [160, 255])
+    def test_same_bits_at_one_and_two_threads(self, blas_threads, panels):
+        cfg = high_fidelity_config(panel_count=panels)
+        results = {}
+        for threads in (1, 2):
+            blas_threads(threads)
+            results[threads] = []
+            for code in ("0012", "2412", "4415", "6409", "8421"):
+                geom = cst_to_geometry(fitted(code), cfg.geometry_stations)
+                xs, ys = aero._panel_nodes(geom, panels)
+                gamma, v_t, _ = aero._linear_vortex_solution(xs, ys, np.radians(2.0))
+                result = solve_high_fidelity(geom, FlowConditions(), cfg)
+                results[threads].append((gamma, v_t, result.cl, result.cd))
+        for one, two in zip(results[1], results[2]):
+            np.testing.assert_array_equal(one[0], two[0])
+            np.testing.assert_array_equal(one[1], two[1])
+            assert one[2:] == two[2:]
+
+    def test_entry_count_restored_also_on_raise(self, blas_threads):
+        get, _ = cores._blas_thread_control()
+        blas_threads(2)
+        with cores.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(ZeroDivisionError), cores.one_blas_thread():
+            1 / 0
+        assert get() == 2
 
 
 class TestLowFidelity:

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from foilrl import bundled_airfoil_dir, naca
+from foilrl import bundled_airfoil_dir, cores, evaluate, naca
 from foilrl.aero import high_fidelity_config
 from foilrl.env import EnvConfig
 from foilrl.errors import EmptyEvalError
@@ -16,6 +19,7 @@ from foilrl.evaluate import (
     summarize,
     write_records_csv,
 )
+from foilrl.geometry import fit_cst, read_dat
 from foilrl.nets import AgentCheckpoint, mlp_init, policy_init
 
 FAST_HIGH = high_fidelity_config(panel_count=96)
@@ -112,6 +116,89 @@ class TestEvaluatePolicy:
     def test_low_fidelity_env_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             evaluate_policy(zero_policy_checkpoint(), small_dataset, EnvConfig(fidelity="low"))
+
+
+def bundled_dataset(step=10):
+    """Every `step`-th bundled airfoil by name, fitted, as `load_dataset` lists it."""
+    paths = sorted(bundled_airfoil_dir().glob("*.dat"))[::step]
+    return [(path.stem, fit_cst(read_dat(path)[1])[0], 0.0) for path in paths]
+
+
+def spread_policy_checkpoint():
+    """A policy whose mean actions end episodes at different lengths and for different reasons."""
+    ckpt = zero_policy_checkpoint()
+    rng = np.random.default_rng(4)
+    ckpt.actor.net.weights[-1][:] = rng.normal(0.0, 0.3, ckpt.actor.net.weights[-1].shape)
+    ckpt.actor.net.biases[-1][:] = rng.normal(0.0, 0.3, 18)
+    return ckpt
+
+
+class TestTwoThreadEvaluate:
+    """Mean-action episodes on two threads give the records of one thread and leave no trace."""
+
+    CFG = EnvConfig(fidelity="high", solver_config=FAST_HIGH)
+
+    def test_same_records_as_one_thread(self, monkeypatch):
+        assert cores._blas_thread_control() is not None  # the two-thread path runs
+        dataset, ckpt = bundled_dataset(), spread_policy_checkpoint()
+        threads = set()
+        roll = evaluate._roll_episode
+
+        def roll_noting_thread(*args):
+            threads.add(threading.get_ident())
+            return roll(*args)
+
+        monkeypatch.setattr(evaluate, "_roll_episode", roll_noting_thread)
+        two, summary_two = evaluate_policy(ckpt, dataset, self.CFG)
+        assert len(threads) == 2
+        monkeypatch.setattr(cores, "_blas_thread_control", lambda: None)
+        threads.clear()
+        one, summary_one = evaluate_policy(ckpt, dataset, self.CFG)
+        assert len(threads) == 1
+        assert len(one) == len(dataset) >= 6
+        assert len({r.episode_length for r in one}) > 1  # the threads' airfoils interleave
+        assert len({r.termination_reason for r in one}) == 3
+        for a, b in zip(two, one):
+            assert [getattr(a, c) for c in RECORD_COLUMNS] == [getattr(b, c) for c in RECORD_COLUMNS]
+            if b.best_params is None:
+                assert a.best_params is None
+            else:
+                np.testing.assert_array_equal(a.best_params, b.best_params)
+        assert summary_two == summary_one
+
+    @pytest.fixture
+    def settings(self):
+        """A function that reads (BLAS threads, switch interval, Python threads), with BLAS at 2."""
+        get, set_ = cores._blas_thread_control()
+        original = get()
+        set_(2)  # not the 1 that the two threads hold BLAS to
+        yield lambda: (get(), sys.getswitchinterval(), threading.active_count())
+        set_(original)
+
+    def test_settings_restored_after_return(self, settings):
+        before = settings()
+        evaluate_policy(zero_policy_checkpoint(), bundled_dataset(20), self.CFG)
+        assert settings() == before
+
+    def test_episode_error_reaches_the_caller_and_settings_restored(self, settings, monkeypatch):
+        dataset = bundled_dataset(20)
+        roll = evaluate._roll_episode
+        rolled = []
+
+        def roll_failing_on_second(env, checkpoint, params, *args):
+            rolled.append(params)
+            if params is dataset[1][1]:
+                raise RuntimeError("episode failed")
+            return roll(env, checkpoint, params, *args)
+
+        monkeypatch.setattr(evaluate, "_roll_episode", roll_failing_on_second)
+        before = settings()
+        with pytest.raises(RuntimeError, match="episode failed"):
+            evaluate_policy(zero_policy_checkpoint(), dataset, self.CFG)
+        assert settings() == before
+        # The failure ends the evaluation: the thread still rolling the first
+        # airfoil takes no other.
+        assert len(dataset) == 3 and not any(p is dataset[2][1] for p in rolled)
 
 
 class TestSummarize:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foilrl import nets
+from foilrl import cores, nets
 from foilrl.errors import ContractViolation, ShapeError
 from foilrl.nets import (
     AdamState,
@@ -266,21 +266,21 @@ class TestAdam:
 
 class TestBothCores:
     def test_worker_half_that_raises_reaches_the_caller(self):
-        assert nets._blas_thread_control() is not None  # the worker thread runs
-        with nets.both_cores() as run:
+        assert cores._blas_thread_control() is not None  # the worker thread runs
+        with cores.both_cores() as run:
             with pytest.raises(ZeroDivisionError):
                 run(lambda: 1, lambda: 1 / 0)
             assert run(lambda: 1, lambda: 2) == (1, 2)  # and the worker serves on
 
     def test_caller_half_that_raises_waits_for_the_worker_half(self):
-        assert nets._blas_thread_control() is not None  # the worker thread runs
+        assert cores._blas_thread_control() is not None  # the worker thread runs
         finished = threading.Event()
 
         def there():
             time.sleep(0.05)
             finished.set()
 
-        with nets.both_cores() as run:
+        with cores.both_cores() as run:
             with pytest.raises(ZeroDivisionError):
                 run(lambda: 1 / 0, there)
             assert finished.is_set()
@@ -288,23 +288,23 @@ class TestBothCores:
     @pytest.fixture
     def fresh_lookup(self, monkeypatch):
         """Monkeypatch, with the BLAS thread control looked up afresh inside the test and after it."""
-        nets._blas_thread_control.cache_clear()
+        cores._blas_thread_control.cache_clear()
         yield monkeypatch
         monkeypatch.undo()
-        nets._blas_thread_control.cache_clear()
+        cores._blas_thread_control.cache_clear()
 
     def test_no_control_without_the_symbols(self, fresh_lookup):
-        fresh_lookup.setattr(nets, "_BLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))
-        assert nets._blas_thread_control() is None
-        with nets.both_cores() as run:
+        fresh_lookup.setattr(cores, "_BLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))
+        assert cores._blas_thread_control() is None
+        with cores.both_cores() as run:
             assert run(lambda: 1, lambda: 2) == (1, 2)
 
     def test_no_control_without_the_library(self, fresh_lookup):
         def missing(name):
             raise OSError(f"{name}: cannot open shared object file")
 
-        fresh_lookup.setattr(nets.ctypes, "CDLL", missing)
-        assert nets._blas_thread_control() is None
+        fresh_lookup.setattr(cores.ctypes, "CDLL", missing)
+        assert cores._blas_thread_control() is None
 
 
 class TestFreezeMask:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import foilrl.nets as nets_module
+from foilrl import cores
 import foilrl.ppo as ppo_module
 from foilrl.env import AirfoilEnv, EnvConfig
 from foilrl.errors import TrainingDiverged
@@ -279,9 +279,9 @@ class TestTwoThreadUpdate:
         None, FreezeMask((True, True, False), (True, True, False)),  # strategy 3
     ])
     def test_same_bits_as_one_thread(self, freeze, monkeypatch):
-        assert nets_module._blas_thread_control() is not None  # the two-thread path runs
+        assert cores._blas_thread_control() is not None  # the two-thread path runs
         tensors2, adam2, stats2 = self._run(freeze)
-        monkeypatch.setattr(nets_module, "_blas_thread_control", lambda: None)
+        monkeypatch.setattr(cores, "_blas_thread_control", lambda: None)
         tensors1, adam1, stats1 = self._run(freeze)
         assert list(stats2) == list(UPDATE_STATS) and stats2 == stats1
         assert adam2.t == adam1.t
@@ -291,7 +291,7 @@ class TestTwoThreadUpdate:
     @pytest.fixture
     def threads(self):
         """A function that reads (Python threads, BLAS threads), with BLAS set to 2 meanwhile."""
-        get, set_ = nets_module._blas_thread_control()
+        get, set_ = cores._blas_thread_control()
         original = get()
         set_(2)  # not the 1 the update holds BLAS to
         yield lambda: (threading.active_count(), get())
